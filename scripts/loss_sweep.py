@@ -3,18 +3,18 @@
 
 Writes one line per efficiency point: measured post-selected success rate, the
 η_d² prediction, the binomial 3σ band, and the conditional fidelity, which
-stays at 1 for every point with any detections at all.
+stays at 1 for every point with any detections at all.  The target is the
+one ``hyper-rsp sample --params random --seed`` draws.
 """
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
-from hyper_rsp.runtime import sample_with_loss
-from hyper_rsp.states import ProtocolKind, TargetParams
+from hyper_rsp import cli
+from hyper_rsp.states import ProtocolKind
 
 
 def main():
@@ -27,21 +27,21 @@ def main():
     args = parser.parse_args()
 
     kind = ProtocolKind.parse(args.protocol)
-    params = TargetParams.random(np.random.Generator(np.random.Philox(key=args.seed)))
+    params = cli.random_params(args.seed)
 
     rows = []
     for eta in np.linspace(0.0, 1.0, args.points):
-        stats = sample_with_loss(kind, params, float(eta), args.trials, args.seed)
+        stats = cli.sample_report(kind, params, float(eta), args.trials, args.seed)["stats"]
         predicted = eta * eta
         sigma = math.sqrt(predicted * (1 - predicted) / args.trials) if 0 < predicted < 1 else 0.0
-        fid = stats.mean_fidelity_on_detected
+        fid = stats["mean_fidelity_on_detected"]
         rows.append(
             {
                 "eta_d": f"{eta:.3f}",
-                "success_rate": f"{stats.success_rate:.6f}",
+                "success_rate": f"{stats['success_rate']:.6f}",
                 "predicted": f"{predicted:.6f}",
                 "three_sigma": f"{3 * sigma:.6f}",
-                "conditional_fidelity": "n/a" if math.isnan(fid) else f"{fid:.12f}",
+                "conditional_fidelity": "n/a" if fid is None else f"{fid:.12f}",
             }
         )
 
@@ -52,9 +52,7 @@ def main():
 
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
+            handle.write(cli.csv_text(rows))
         print(f"wrote {args.csv}", file=sys.stderr)
 
 

@@ -1,52 +1,38 @@
 #!/usr/bin/env python3
 """Print both correction tables as reproduced by the simulator.
 
-For each protocol: evolve the shared channel, enumerate every detector branch,
-show the collapsed receiver state, the tabulated correction, the operator the
-exhaustive search finds, and the post-correction fidelity.  With --trials the
-script also cross-checks outcome frequencies against the exact probabilities.
+For each protocol this is the ``hyper-rsp verify`` table: every detector
+branch with its collapsed and corrected receiver states, the tabulated
+correction, whether the exhaustive search agrees with it, and the fidelity.
+Random params follow the CLI's contract, so ``--seed`` names the same target
+as ``hyper-rsp verify --params random --seed``.  With --trials the script also
+cross-checks outcome frequencies, drawn from the outcome column of the
+sampler's per-chunk stream, against the exact probabilities.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
-from hyper_rsp.protocols import derive_correction, run_protocol
-from hyper_rsp.runtime import BranchSampler
-from hyper_rsp.states import ProtocolKind, TargetParams, make_target
+from hyper_rsp import cli
+from hyper_rsp.runtime import CHUNK_TRIALS, BranchSampler, chunk_generator
+from hyper_rsp.states import ProtocolKind, TargetParams
 
 
-def show_protocol(kind, params, trials):
-    print(f"\n=== protocol {kind.value} ===")
-    print(
-        "params: "
-        + " ".join(f"{k}={v:.4f}" for k, v in zip(
-            ("a0", "b0", "a1", "b1", "a2", "b2"), params.as_tuple()))
-    )
-    target = make_target(params, kind)
-    reports = run_protocol(kind, params)
-    for report in reports:
-        search = derive_correction(report.bob_state_pre, target)
-        marker = "" if search.operator == report.correction else "  <-- MISMATCH"
-        print(
-            f"{str(report.outcome):>7}  p={report.probability:.6f}  "
-            f"table={report.correction}  search={search.operator}"
-            f"{' (ambiguous)' if search.ambiguous else ''}  "
-            f"fidelity={report.fidelity_post:.12f}{marker}"
-        )
-        print(f"         collapsed: {report.bob_state_pre}")
-    if trials:
-        sampler = BranchSampler(kind, params)
-        rng = np.random.Generator(np.random.Philox(key=1234))
-        counts = {b.outcome: 0 for b in sampler.branches}
-        for index in sampler.draw_many(rng.random(trials)):
-            counts[sampler.branches[index].outcome] += 1
-        p = sampler.branches[0].probability
-        sigma = math.sqrt(p * (1 - p) / trials)
-        print(f"\nsampled {trials} outcomes (expect {p:.4f} each, 3σ = {3 * sigma:.4f}):")
-        for outcome, count in counts.items():
-            print(f"{str(outcome):>7}  {count / trials:.4f}")
+def show_frequencies(kind, params, trials, seed):
+    sampler = BranchSampler(kind, params)
+    counts = np.zeros(len(sampler.branches), dtype=int)
+    for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
+        count = min(CHUNK_TRIALS, trials - chunk_index * CHUNK_TRIALS)
+        uniforms = chunk_generator(seed, chunk_index).random((count, 3))[:, 0]
+        counts += np.bincount(sampler.draw_many(uniforms), minlength=len(counts))
+    p = sampler.branches[0].probability
+    sigma = math.sqrt(p * (1 - p) / trials)
+    print(f"sampled {trials} outcomes (expect {p:.4f} each, 3σ = {3 * sigma:.4f}):")
+    for branch, count in zip(sampler.branches, counts):
+        print(f"{str(branch.outcome):>7}  {count / trials:.4f}")
 
 
 def main():
@@ -54,21 +40,28 @@ def main():
     parser.add_argument("--params", nargs=4, type=float, default=None,
                         metavar=("A0", "B0", "AX", "BX"),
                         help="pol pair plus the second-register pair")
-    parser.add_argument("--seed", type=int, default=0, help="seed when params are random")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for random params and for sampling")
     parser.add_argument("--trials", type=int, default=0,
                         help="also sample outcome frequencies")
     args = parser.parse_args()
 
     if args.params is None:
-        rng = np.random.Generator(np.random.Philox(key=args.seed))
-        params = TargetParams.random(rng)
+        params = cli.random_params(args.seed)
     else:
         a0, b0, ax, bx = args.params
         params = TargetParams(a0, b0, ax, bx, ax, bx)
 
+    all_pass = True
     for kind in (ProtocolKind.PF, ProtocolKind.TB):
-        show_protocol(kind, params, args.trials)
+        report = cli.verify_report(kind, params)
+        all_pass &= report["all_pass"]
+        print(cli.render("verify", report, "table"))
+        if args.trials:
+            show_frequencies(kind, params, args.trials, args.seed)
+            print()
+    return 0 if all_pass else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

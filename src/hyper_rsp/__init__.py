@@ -22,7 +22,6 @@ from .runtime import (
     SampleStats,
     decode_outcome,
     encode_outcome,
-    sample_run,
     sample_with_loss,
 )
 from .states import (
@@ -65,6 +64,5 @@ __all__ = [
     "project_photon_a",
     "protocol_efficiency",
     "run_protocol",
-    "sample_run",
     "sample_with_loss",
 ]

@@ -17,8 +17,8 @@ import csv
 import io
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
 
 from .efficiency import protocol_efficiency, protocol_inputs
 from .protocols import (
@@ -32,21 +32,12 @@ from .states import ProtocolKind, StateVector, TargetParams, make_target
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 
 #: Philox stream index reserved for drawing random target parameters.
 PARAMS_STREAM = 2**32
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    protocol: ProtocolKind
-    params: TargetParams
-    trials: int
-    eta_d: float
-    seed: int
-    fmt: str
-    output: str | None
+#: argparse's own matcher misses exponent forms such as -3.2e-05.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _round12(x: float) -> float:
@@ -59,11 +50,6 @@ def _state_amplitudes(state: StateVector) -> list[list[float]]:
         [_round12(amp.real), _round12(amp.imag)]
         for amp in (state.amplitude(label) for label in state.schema.labels())
     ]
-
-
-def _state_text(state: StateVector) -> str:
-    pairs = _state_amplitudes(state)
-    return " ".join(f"({re:g},{im:g})" for re, im in pairs)
 
 
 def _params_dict(params: TargetParams) -> dict:
@@ -139,14 +125,14 @@ def verify_report(kind: ProtocolKind, params: TargetParams) -> dict:
     }
 
 
-def sample_report(config: RunConfig) -> dict:
-    stats = sample_with_loss(
-        config.protocol, config.params, config.eta_d, config.trials, config.seed
-    )
+def sample_report(
+    kind: ProtocolKind, params: TargetParams, eta_d: float, trials: int, seed: int
+) -> dict:
+    stats = sample_with_loss(kind, params, eta_d, trials, seed)
     mean_fid = stats.mean_fidelity_on_detected
     return {
-        "protocol": config.protocol.value,
-        "params": _params_dict(config.params),
+        "protocol": kind.value,
+        "params": _params_dict(params),
         "stats": {
             "eta_d": _round12(stats.eta_d),
             "trials": stats.trials,
@@ -204,32 +190,6 @@ def _verify_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _verify_csv(report: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["protocol", "polarization", "path", "code", "probability",
-         "correction", "fidelity_post", "correction_consistent",
-         "bob_state_pre", "bob_state_post"]
-    )
-    for entry in report["branches"]:
-        writer.writerow(
-            [
-                report["protocol"],
-                entry["outcome"]["polarization"],
-                entry["outcome"]["path"],
-                entry["code"],
-                f"{entry['probability']:.12g}",
-                entry["correction"],
-                f"{entry['fidelity_post']:.12g}",
-                entry["correction_consistent"],
-                " ".join(f"{re:.12g},{im:.12g}" for re, im in entry["bob_state_pre"]),
-                " ".join(f"{re:.12g},{im:.12g}" for re, im in entry["bob_state_post"]),
-            ]
-        )
-    return buffer.getvalue()
-
-
 def _sample_table(report: dict) -> str:
     stats = report["stats"]
     mean_fid = stats["mean_fidelity_on_detected"]
@@ -245,24 +205,6 @@ def _sample_table(report: dict) -> str:
     )
 
 
-def _sample_csv(report: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    stats = report["stats"]
-    writer.writerow(
-        ["protocol", "eta_d", "trials", "detected", "success_rate",
-         "mean_fidelity_on_detected", "seed"]
-    )
-    writer.writerow(
-        [report["protocol"], f"{stats['eta_d']:.12g}", stats["trials"], stats["detected"],
-         f"{stats['success_rate']:.12g}",
-         "" if stats["mean_fidelity_on_detected"] is None
-         else f"{stats['mean_fidelity_on_detected']:.12g}",
-         stats["seed"]]
-    )
-    return buffer.getvalue()
-
-
 def _efficiency_table(report: dict) -> str:
     lines = []
     for name, entry in report["protocols"].items():
@@ -275,27 +217,51 @@ def _efficiency_table(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _efficiency_csv(report: dict) -> str:
+def _cell(value):
+    """CSV text of one report value; amplitude lists become ``re,im`` pairs."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, list):
+        return " ".join(f"{re:.12g},{im:.12g}" for re, im in value)
+    return value
+
+
+def csv_text(rows: list[dict]) -> str:
+    """A header of the first row's keys, then one line per row dict."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["protocol", "efficiency", "numerator", "denominator",
-         "transmitted_qubits", "channel_qubits", "classical_bits"]
-    )
-    for name, entry in report["protocols"].items():
-        writer.writerow(
-            [name, entry["efficiency"], entry["numerator"], entry["denominator"],
-             entry["transmitted_qubits"], entry["channel_qubits"], entry["classical_bits"]]
-        )
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows({key: _cell(value) for key, value in row.items()} for row in rows)
     return buffer.getvalue()
 
 
-def _render(report: dict, fmt: str, table_renderer, csv_renderer) -> str:
+def _csv_rows(command: str, report: dict) -> list[dict]:
+    """One dict per CSV line; key order is column order."""
+    if command == "verify":
+        columns = ("code", "probability", "correction", "fidelity_post",
+                   "correction_consistent", "bob_state_pre", "bob_state_post")
+        return [
+            {"protocol": report["protocol"], **entry["outcome"],
+             **{key: entry[key] for key in columns}}
+            for entry in report["branches"]
+        ]
+    if command == "sample":
+        return [{"protocol": report["protocol"], **report["stats"]}]
+    return [{"protocol": name, **entry} for name, entry in report["protocols"].items()]
+
+
+_TABLES = {"verify": _verify_table, "sample": _sample_table, "efficiency": _efficiency_table}
+
+
+def render(command: str, report: dict, fmt: str) -> str:
+    """One command's report as json, csv, or an aligned table."""
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
-        return csv_renderer(report)
-    return table_renderer(report)
+        return csv_text(_csv_rows(command, report))
+    return _TABLES[command](report)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -319,6 +285,7 @@ def _add_common(parser: argparse.ArgumentParser, with_protocol: bool = True) -> 
             nargs="+",
             help="four per-protocol values, six values, or 'random'",
         )
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
         parser.add_argument("--seed", type=int, default=0,
                             help="seed for sampling and for 'random' params")
     parser.add_argument("--format", dest="fmt", choices=["json", "csv", "table"],
@@ -349,50 +316,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    protocol = ProtocolKind.parse(args.protocol)
-    try:
-        params = parse_params(args.params, protocol, args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return RunConfig(
-        protocol=protocol,
-        params=params,
-        trials=getattr(args, "trials", 0),
-        eta_d=getattr(args, "eta_d", 1.0),
-        seed=args.seed,
-        fmt=args.fmt,
-        output=args.output,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.command == "efficiency":
-        _emit(_render(efficiency_report(), args.fmt, _efficiency_table, _efficiency_csv),
-              args.output)
-        return EXIT_OK
+        report = efficiency_report()
+    else:
+        if not 0 <= args.seed < 2**64:
+            parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
+        kind = ProtocolKind.parse(args.protocol)
+        try:
+            params = parse_params(args.params, kind, args.seed)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if args.command == "verify":
+            report = verify_report(kind, params)
+        else:
+            if args.trials < 1:
+                parser.error(f"--trials must be positive, got {args.trials}")
+            if not 0.0 <= args.eta_d <= 1.0:
+                parser.error(f"--eta-d must lie in [0, 1], got {args.eta_d}")
+            report = sample_report(kind, params, args.eta_d, args.trials, args.seed)
 
-    config = _build_config(args, parser)
-
-    if args.command == "verify":
-        report = verify_report(config.protocol, config.params)
-        _emit(_render(report, config.fmt, _verify_table, _verify_csv), config.output)
-        return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
-
-    if args.command == "sample":
-        if config.trials < 1:
-            parser.error(f"--trials must be positive, got {config.trials}")
-        if not 0.0 <= config.eta_d <= 1.0:
-            parser.error(f"--eta-d must lie in [0, 1], got {config.eta_d}")
-        report = sample_report(config)
-        _emit(_render(report, config.fmt, _sample_table, _sample_csv), config.output)
-        return EXIT_OK
-
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    _emit(render(args.command, report, args.fmt), args.output)
+    return EXIT_OK if report.get("all_pass", True) else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -11,19 +11,18 @@ generator.  Trials are processed in fixed chunks of ``CHUNK_TRIALS``; chunk
 chunk's trials are a pure function of (seed, chunk index).  Results are
 identical across platforms and independent of how chunks are distributed over
 workers.  Each trial consumes three uniforms, in column order: outcome draw,
-sender's detector, receiver's detector.
+sender's detector, receiver's detector.  Seeds lie in [0, 2^64).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .protocols import BranchReport, run_protocol
-from .states import Outcome, ProtocolKind, StateVector, TargetParams, UnknownDetectorError
+from .protocols import BranchReport, outcome_registry, run_protocol
+from .states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError
 
 WIRE_VERSION = 1
 CHUNK_TRIALS = 1 << 14
@@ -31,11 +30,14 @@ CHUNK_TRIALS = 1 << 14
 PROTOCOL_CODES = {ProtocolKind.PF: 0, ProtocolKind.TB: 1}
 _CODE_TO_PROTOCOL = {code: kind for kind, code in PROTOCOL_CODES.items()}
 
-#: payload bits per message: ceil(log2(registry size))
-PAYLOAD_BITS = {ProtocolKind.PF: 2, ProtocolKind.TB: 3}
+#: outcome code = index in the protocol's detector registry
+_OUTCOME_CODES = {
+    kind: {outcome: code for code, outcome in enumerate(outcome_registry(kind))}
+    for kind in ProtocolKind
+}
 
-_PF_PATH_ORDER = ("a1", "a2")
-_TB_PATH_ORDER = ("kp1", "kp2", "kp3", "kp4")
+#: payload bits per message: ceil(log2(registry size))
+PAYLOAD_BITS = {kind: math.ceil(math.log2(len(codes))) for kind, codes in _OUTCOME_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,18 @@ class SampleStats:
 
 
 def encode_outcome(kind: ProtocolKind, outcome: Outcome) -> ChannelMessage:
-    """PF: code = 2·[pol=V] + [path=a2]; TB: code = 4·[pol=V] + path index."""
-    paths = _PF_PATH_ORDER if kind is ProtocolKind.PF else _TB_PATH_ORDER
-    if outcome.polarization not in ("H", "V") or outcome.path not in paths:
+    """The outcome's index in :func:`outcome_registry` becomes its code."""
+    code = _OUTCOME_CODES[kind].get(outcome)
+    if code is None:
         raise UnknownDetectorError(f"outcome {outcome} not in the {kind.value} registry")
-    code = len(paths) * int(outcome.polarization == "V") + paths.index(outcome.path)
     return ChannelMessage(WIRE_VERSION, kind, code)
 
 
 def decode_outcome(message: ChannelMessage) -> Outcome:
-    paths = _PF_PATH_ORDER if message.protocol is ProtocolKind.PF else _TB_PATH_ORDER
-    if not 0 <= message.outcome_code < 2 * len(paths):
+    registry = outcome_registry(message.protocol)
+    if not 0 <= message.outcome_code < len(registry):
         raise ValueError(f"outcome code {message.outcome_code} out of range")
-    polarization = "V" if message.outcome_code >= len(paths) else "H"
-    return Outcome(polarization, paths[message.outcome_code % len(paths)])
+    return registry[message.outcome_code]
 
 
 def message_to_bytes(message: ChannelMessage) -> bytes:
@@ -104,7 +104,9 @@ def message_from_bytes(frame: bytes) -> ChannelMessage:
 
 def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     """The documented per-chunk stream: Philox keyed by (seed, chunk index)."""
-    key = np.array([seed & (2**64 - 1), chunk_index], dtype=np.uint64)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -115,17 +117,7 @@ class BranchSampler:
         self.kind = kind
         self.params = params
         self.branches: tuple[BranchReport, ...] = run_protocol(kind, params)
-        cumulative = []
-        total = 0.0
-        for branch in self.branches:
-            total += branch.probability
-            cumulative.append(total)
-        self._cumulative = cumulative
-
-    def draw(self, rng: np.random.Generator) -> BranchReport:
-        u = float(rng.random())
-        index = bisect.bisect_right(self._cumulative, u)
-        return self.branches[min(index, len(self.branches) - 1)]
+        self._cumulative = np.cumsum([branch.probability for branch in self.branches])
 
     def draw_many(self, uniforms: np.ndarray) -> np.ndarray:
         """Vectorized branch indices for an array of uniforms in [0, 1)."""
@@ -133,14 +125,6 @@ class BranchSampler:
             np.searchsorted(self._cumulative, uniforms, side="right"),
             len(self.branches) - 1,
         )
-
-
-def sample_run(
-    kind: ProtocolKind, params: TargetParams, rng: np.random.Generator
-) -> tuple[Outcome, StateVector]:
-    """Draw one measurement outcome and return it with the corrected receiver state."""
-    branch = BranchSampler(kind, params).draw(rng)
-    return branch.outcome, branch.bob_state_post
 
 
 def sample_with_loss(

@@ -5,10 +5,13 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hyper_rsp.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -108,15 +111,14 @@ def test_verify_failure_exits_one_and_names_first_row(capsys, monkeypatch):
 
 
 def test_verify_output_file_golden(tmp_path, capsys):
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    for path in (first, second):
-        code, _ = run_cli(
-            capsys, "verify", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
-            "--format", "json", "--output", str(path),
-        )
-        assert code == 0
-    assert first.read_text() == second.read_text()
+    path = tmp_path / "report.json"
+    code, out = run_cli(
+        capsys, "verify", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
+        "--format", "json", "--output", str(path),
+    )
+    assert code == 0
+    assert out == ""
+    assert path.read_bytes() == (GOLDEN / "verify_tb.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,34 @@ def test_bad_params_count_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--protocol", "pf", "--params", "1", "0", "1"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_params_accept_negative_exponent_notation(capsys, command):
+    code, out = run_cli(
+        capsys, command, "--protocol", "pf", "--params", "-3.2e-05", "0.999999999488",
+        "1", "0", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["params"]["alpha0"] == -3.2e-05
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_usage_error(capsys, command, seed):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--protocol", "pf", "--params", "random", "--seed", str(seed)])
+    assert excinfo.value.code == 2
+    assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_largest_seed_accepted(capsys):
+    code, out = run_cli(
+        capsys, "sample", "--protocol", "pf", "--params", "random", "--seed", str(2**64 - 1),
+        "--trials", "1000", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["stats"]["seed"] == 2**64 - 1
 
 
 def test_module_entry_point_subprocess():

@@ -1,5 +1,6 @@
 """Channel codec, seeded sampling, and the detector-loss model."""
 
+import bisect
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from hyper_rsp.runtime import (
     encode_outcome,
     message_from_bytes,
     message_to_bytes,
-    sample_run,
     sample_with_loss,
 )
 from hyper_rsp.protocols import outcome_registry
@@ -91,35 +91,39 @@ def test_encode_unknown_outcome():
 # sampling
 
 
-def test_sample_run_reproducible(generic_params):
-    draws1 = []
-    rng = np.random.Generator(np.random.Philox(key=11))
-    sampler = BranchSampler(PF, generic_params)
-    draws1 = [sampler.draw(rng).outcome for _ in range(50)]
-    rng = np.random.Generator(np.random.Philox(key=11))
-    draws2 = [sampler.draw(rng).outcome for _ in range(50)]
-    assert draws1 == draws2
-
-
-def test_sample_run_returns_corrected_state(generic_params):
-    rng = np.random.Generator(np.random.Philox(key=3))
-    outcome, bob = sample_run(TB, generic_params, rng)
-    assert outcome in outcome_registry(TB)
-    assert abs(bob.norm_sq() - 1.0) < 1e-10
-
-
-def test_outcome_frequencies_within_three_sigma(generic_params):
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_outcome_frequencies_within_three_sigma(kind, generic_params):
     trials = 40000
-    sampler = BranchSampler(PF, generic_params)
+    sampler = BranchSampler(kind, generic_params)
     rng = np.random.Generator(np.random.Philox(key=97))
-    counts = {outcome: 0 for outcome in outcome_registry(PF)}
+    counts = {outcome: 0 for outcome in outcome_registry(kind)}
     uniforms = rng.random(trials)
     for index in sampler.draw_many(uniforms):
         counts[sampler.branches[index].outcome] += 1
-    p = 0.25
+    p = 1 / len(counts)
     sigma = math.sqrt(p * (1 - p) / trials)
     for outcome, count in counts.items():
         assert abs(count / trials - p) < 3 * sigma, outcome
+
+
+def test_draw_many_matches_running_sum_bisect(generic_params, rng):
+    """Reference: a bisect over the branch probabilities summed one by one."""
+    sampler = BranchSampler(TB, generic_params)
+    edges, total = [], 0.0
+    for branch in sampler.branches:
+        total += branch.probability
+        edges.append(total)
+    inner = np.array(edges[:-1])
+    uniforms = np.concatenate([inner, np.nextafter(inner, 0.0), rng.random(1000)])
+    expected = [min(bisect.bisect_right(edges, u), len(edges) - 1) for u in uniforms]
+    assert sampler.draw_many(uniforms).tolist() == expected
+
+
+def test_chunk_generator_seed_range():
+    assert chunk_generator(2**64 - 1, 0).random() != chunk_generator(0, 0).random()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            chunk_generator(seed, 0)
 
 
 # ---------------------------------------------------------------------------
