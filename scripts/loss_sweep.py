@@ -25,6 +25,7 @@ def main():
     parser.add_argument("--points", type=int, default=11)
     parser.add_argument("--csv", default=None, help="write results to a CSV file")
     args = parser.parse_args()
+    cli.check_seed(parser, args.seed)
 
     kind = ProtocolKind.parse(args.protocol)
     params = cli.random_params(args.seed)

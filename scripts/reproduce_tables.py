@@ -44,7 +44,9 @@ def main():
                         help="seed for random params and for sampling")
     parser.add_argument("--trials", type=int, default=0,
                         help="also sample outcome frequencies")
+    parser._negative_number_matcher = cli._NEGATIVE_NUMBER
     args = parser.parse_args()
+    cli.check_seed(parser, args.seed)
 
     if args.params is None:
         params = cli.random_params(args.seed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from .protocols import (
     run_protocol,
 )
 from .runtime import chunk_generator, encode_outcome, sample_with_loss
-from .states import ProtocolKind, StateVector, TargetParams, make_target
+from .states import ProtocolKind, StateVector, TargetParams
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -103,11 +104,10 @@ def _branch_entry(kind: ProtocolKind, branch: BranchReport, consistent: bool) ->
 
 def verify_report(kind: ProtocolKind, params: TargetParams) -> dict:
     branches = run_protocol(kind, params)
-    target = make_target(params, kind)
     entries = []
     first_failure = None
     for branch in branches:
-        search = derive_correction(branch.bob_state_pre, target)
+        search = derive_correction(branch.bob_state_pre, branch.target)
         consistent = branch.correction in search.matches
         ok = consistent and branch.fidelity_post >= 1.0 - FIDELITY_TOL
         if not ok and first_failure is None:
@@ -293,6 +293,13 @@ def _add_common(parser: argparse.ArgumentParser, with_protocol: bool = True) -> 
     parser.add_argument("--output", default=None, help="write the report to a file")
 
 
+def check_seed(parser: argparse.ArgumentParser, seed: int) -> None:
+    """Exit with a usage error unless ``seed`` lies in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        parser.error(f"--seed must lie in [0, 2**64), got {seed}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyper-rsp",
@@ -323,8 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "efficiency":
         report = efficiency_report()
     else:
-        if not 0 <= args.seed < 2**64:
-            parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
+        check_seed(parser, args.seed)
         kind = ProtocolKind.parse(args.protocol)
         try:
             params = parse_params(args.params, kind, args.seed)

@@ -21,6 +21,7 @@ Pauli factors act on two-valued registers (x₀, x₁) as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -528,6 +529,13 @@ class PauliOp(Element):
                 )
 
     def ket_image(self, label, schema):
+        image = _pauli_images(schema, self.photon, self.string).get(label)
+        if image is None:  # outside the schema's basis: the rule's own answer or error
+            return self.ket_rule(label, schema)
+        return [image]
+
+    def ket_rule(self, label, schema):
+        """The per-ket definition that :func:`_pauli_images` tabulates."""
         out = label
         sign = 1.0
         for register, axis in self.string.factors:
@@ -540,6 +548,20 @@ class PauliOp(Element):
         return [(out, sign + 0j)]
 
 
+@functools.cache
+def _pauli_images(
+    schema: Schema, photon: str, string: PauliString
+) -> dict[Label, tuple[Label, complex]]:
+    """One correction's signed permutation of the schema's basis labels.
+
+    Keyed by value, since every candidate of the correction search is a fresh
+    PauliOp; bounded by the number of schemas times two photons times 16.
+    """
+    op = PauliOp(photon, string)
+    return {label: op.ket_rule(label, schema)[0] for label in schema.labels()}
+
+
+@functools.cache
 def all_pauli_strings(register_names: tuple[str, str]) -> tuple[PauliString, ...]:
     """All 16 two-factor corrections over the given registers, in a fixed order."""
     first, second = register_names

@@ -165,7 +165,8 @@ def correction_table(kind: ProtocolKind, outcome: Outcome) -> PauliString:
 
 @dataclass(frozen=True)
 class BranchReport:
-    """One measurement branch: outcome, weight, and the receiver states."""
+    """One measurement branch: outcome, weight, the receiver states, and the
+    target the corrected state was scored against."""
 
     outcome: Outcome
     probability: float
@@ -173,6 +174,7 @@ class BranchReport:
     correction: PauliString
     bob_state_post: StateVector
     fidelity_post: float
+    target: StateVector
 
 
 def run_protocol(kind: ProtocolKind, params: TargetParams) -> tuple[BranchReport, ...]:
@@ -199,6 +201,7 @@ def run_protocol(kind: ProtocolKind, params: TargetParams) -> tuple[BranchReport
                 correction=correction,
                 bob_state_post=bob_post,
                 fidelity_post=fidelity(bob_post, target),
+                target=target,
             )
         )
     return tuple(reports)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -100,18 +101,69 @@ def path_register(paths: Iterable[str]) -> Register:
     return Register("path", tuple(paths))
 
 
-@dataclass(frozen=True)
+#: The one Schema instance of each register layout; see Schema.__new__.
+_SCHEMAS: dict[tuple, "Schema"] = {}
+
+
+@dataclass(frozen=True, init=False)
 class Schema:
-    """Fixed register layout of one circuit stage (photon A tuple, photon B tuple)."""
+    """Fixed register layout of one circuit stage (photon A tuple, photon B tuple).
+
+    Instances are interned: equal layouts give the identical object, so the
+    register and label lookups below are built once per layout and shared by
+    every state on it.  ``__new__`` sets the fields, once, so constructing an
+    existing layout again writes nothing to the shared instance.
+    """
 
     photon_a: tuple[Register, ...]
     photon_b: tuple[Register, ...]
 
-    def __post_init__(self) -> None:
-        for regs in (self.photon_a, self.photon_b):
-            names = [r.name for r in regs]
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate register names: {names}")
+    def __new__(cls, photon_a: tuple[Register, ...], photon_b: tuple[Register, ...]):
+        key = (photon_a, photon_b)
+        schema = _SCHEMAS.get(key)
+        if schema is None:
+            for regs in key:
+                names = [r.name for r in regs]
+                if len(set(names)) != len(names):
+                    raise ValueError(f"duplicate register names: {names}")
+            schema = super().__new__(cls)
+            object.__setattr__(schema, "photon_a", photon_a)
+            object.__setattr__(schema, "photon_b", photon_b)
+            object.__setattr__(schema, "_hash", hash(key))
+            _SCHEMAS[key] = schema
+        return schema
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Schema, (self.photon_a, self.photon_b)
+
+    @cached_property
+    def _slots(self) -> dict[tuple[str, str], tuple[int, Register]]:
+        """(photon, register name) → (position, register)."""
+        return {
+            (photon, reg.name): (position, reg)
+            for photon, regs in (("A", self.photon_a), ("B", self.photon_b))
+            for position, reg in enumerate(regs)
+        }
+
+    @cached_property
+    def _labels(self) -> tuple[Label, ...]:
+        a_axes = [reg.values for reg in self.photon_a]
+        b_axes = [reg.values for reg in self.photon_b]
+        return tuple((a, b) for a in product(*a_axes) for b in product(*b_axes))
+
+    @cached_property
+    def _label_set(self) -> frozenset[Label]:
+        return frozenset(self._labels)
+
+    def _slot(self, photon: str, name: str) -> tuple[int, Register]:
+        try:
+            return self._slots[photon, name]
+        except KeyError:
+            self.registers(photon)  # rejects a photon other than A or B
+            raise SchemaMismatchError(f"photon {photon} has no {name!r} register") from None
 
     def registers(self, photon: str) -> tuple[Register, ...]:
         if photon == "A":
@@ -124,16 +176,10 @@ class Schema:
         return any(r.name == name for r in self.registers(photon))
 
     def register(self, photon: str, name: str) -> Register:
-        for reg in self.registers(photon):
-            if reg.name == name:
-                return reg
-        raise SchemaMismatchError(f"photon {photon} has no {name!r} register")
+        return self._slot(photon, name)[1]
 
     def position(self, photon: str, name: str) -> int:
-        for i, reg in enumerate(self.registers(photon)):
-            if reg.name == name:
-                return i
-        raise SchemaMismatchError(f"photon {photon} has no {name!r} register")
+        return self._slot(photon, name)[0]
 
     def with_register(self, photon: str, register: Register) -> "Schema":
         """Append a register to one photon (explicit schema transform)."""
@@ -162,14 +208,15 @@ class Schema:
 
     def labels(self) -> list[Label]:
         """All basis labels in canonical (lexicographic) order."""
-        a_axes = [reg.values for reg in self.photon_a]
-        b_axes = [reg.values for reg in self.photon_b]
-        return [(a, b) for a in product(*a_axes) for b in product(*b_axes)]
+        return list(self._labels)
 
     def label_index(self) -> dict[Label, int]:
-        return {label: i for i, label in enumerate(self.labels())}
+        return {label: i for i, label in enumerate(self._labels)}
 
     def validate_label(self, label: Label) -> None:
+        if label in self._label_set:
+            return
+        # Not a basis label: find the entry at fault for the error message.
         a_values, b_values = label
         for values, regs, photon in ((a_values, self.photon_a, "A"), (b_values, self.photon_b, "B")):
             if len(values) != len(regs):

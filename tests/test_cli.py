@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from hyper_rsp.cli import main
+import hyper_rsp.cli as cli_module
+from hyper_rsp import protocols, states
+from hyper_rsp.cli import main, verify_report
+from hyper_rsp.states import ProtocolKind, TargetParams, make_target
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,8 +100,6 @@ def test_verify_json_round_trips_bit_exactly(capsys):
 
 def test_verify_failure_exits_one_and_names_first_row(capsys, monkeypatch):
     # An unreachable fidelity bar forces every branch to fail the check.
-    import hyper_rsp.cli as cli_module
-
     monkeypatch.setattr(cli_module, "FIDELITY_TOL", -1e-9)
     code, out = run_cli(
         capsys, "verify", "--protocol", "pf", "--params", "0.6", "0.8", "0.28", "0.96",
@@ -108,6 +109,21 @@ def test_verify_failure_exits_one_and_names_first_row(capsys, monkeypatch):
     report = json.loads(out)
     assert report["all_pass"] is False
     assert report["first_failure"] == "H@a1"
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_verify_report_builds_the_target_once(monkeypatch, kind):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_target(*args)
+
+    for module in (cli_module, protocols, states):
+        if hasattr(module, "make_target"):
+            monkeypatch.setattr(module, "make_target", counted)
+    assert verify_report(kind, TargetParams(0.6, 0.8, 0.28, 0.96, 0.6, 0.8))["all_pass"]
+    assert len(calls) == 1
 
 
 def test_verify_output_file_golden(tmp_path, capsys):

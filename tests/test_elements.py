@@ -19,6 +19,7 @@ from hyper_rsp.elements import (
     PolarizingRouter,
     UnbalancedSplitter,
     WavelengthRouter,
+    all_pauli_strings,
 )
 from hyper_rsp.states import (
     ProtocolKind,
@@ -27,10 +28,12 @@ from hyper_rsp.states import (
     StateVector,
     TargetParams,
     freq_register,
+    hyper_bell_schema,
     make_hyper_bell,
     make_target,
     path_register,
     pol_register,
+    receiver_schema,
     time_register,
 )
 
@@ -395,6 +398,29 @@ def test_pauli_register_mismatch():
     target = make_target(TargetParams(1, 0), ProtocolKind.PF)
     with pytest.raises(SchemaMismatchError):
         PauliOp("B", PauliString((("pol", "sz"), ("time", "sz")))).apply(target)
+
+
+@pytest.mark.parametrize(
+    "schema, photon",
+    [
+        (receiver_schema(ProtocolKind.PF), "B"),
+        (receiver_schema(ProtocolKind.TB), "B"),
+        (hyper_bell_schema(ProtocolKind.PF), "A"),
+    ],
+    ids=["pf-receiver", "tb-receiver", "pf-channel-A"],
+)
+def test_pauli_images_match_the_per_ket_rule(schema, photon):
+    labels = schema.labels()
+    names = tuple(r.name for r in schema.registers(photon))
+    for string in all_pauli_strings(names):
+        op = PauliOp(photon, string)
+        images = [op.ket_image(label, schema) for label in labels]
+        assert images == [op.ket_rule(label, schema) for label in labels]
+        assert sorted(image[0][0] for image in images) == sorted(labels)
+        assert {image[0][1] for image in images} <= {1.0, -1.0}
+        foreign = op._replace(labels[0], ("D",) + op._part(labels[0])[1:])
+        with pytest.raises(ValueError):
+            op.ket_image(foreign, schema)
 
 
 def test_pauli_string_validation():

@@ -11,10 +11,18 @@ on the other.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_amplitudes_equal, assert_states_close, target_params
-from hyper_rsp.elements import PauliString
+from conftest import (
+    angles,
+    assert_amplitudes_equal,
+    assert_states_close,
+    protocol_kinds,
+    target_params,
+)
+from hyper_rsp.cli import verify_report
+from hyper_rsp.elements import PauliString, all_pauli_strings
 from hyper_rsp.protocols import (
     CorrectionNotFoundError,
     build_circuit,
@@ -25,6 +33,7 @@ from hyper_rsp.protocols import (
     run_protocol,
 )
 from hyper_rsp.states import (
+    PARAM_TOL,
     Outcome,
     ProtocolKind,
     StateVector,
@@ -435,6 +444,36 @@ def test_search_fails_on_unreachable_state(generic_params):
     target = make_target(generic_params, PF)
     with pytest.raises(CorrectionNotFoundError):
         derive_correction(entangled, target)
+
+
+AXIS_PAIRS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+@st.composite
+def edge_pair(draw):
+    """A pair whose α²+β² sits just inside 1 ± PARAM_TOL."""
+    theta = draw(angles)
+    scale = math.sqrt(1.0 + draw(st.sampled_from((-0.99, 0.99))) * PARAM_TOL)
+    alpha, beta = scale * math.cos(theta), scale * math.sin(theta)
+    assume(abs(alpha) <= 1.0 and abs(beta) <= 1.0)
+    return alpha, beta
+
+
+degenerate_pairs = st.one_of(st.sampled_from(AXIS_PAIRS), edge_pair())
+
+
+@given(kind=protocol_kinds, pairs=st.tuples(degenerate_pairs, degenerate_pairs, degenerate_pairs))
+@settings(max_examples=40)
+def test_degenerate_targets_search_deterministically(kind, pairs):
+    params = TargetParams(*(v for pair in pairs for v in pair))
+    target = make_target(params, kind)
+    candidates = all_pauli_strings(tuple(r.name for r in target.schema.photon_b))
+    for report in run_protocol(kind, params):
+        matches = derive_correction(report.bob_state_pre, target).matches
+        assert matches == tuple(c for c in candidates if c in matches)
+        assert derive_correction(report.bob_state_pre, target).matches == matches
+        assert report.correction in matches
+    assert verify_report(kind, params)["all_pass"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hyper_rsp
 from hyper_rsp.cli import main
 
@@ -31,6 +33,21 @@ def test_reproduce_tables_draws_the_cli_random_target(capsys):
     assert result.returncode == 0, result.stderr
     assert main(["verify", "--protocol", "pf", "--params", "random", "--seed", "0"]) == 0
     assert alpha0(result.stdout) == alpha0(capsys.readouterr().out)
+    assert result.stdout.count("verdict: PASS") == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("script", ["reproduce_tables.py", "loss_sweep.py"])
+def test_out_of_range_seed_usage_error(script, seed):
+    result = run_script(script, "--seed", str(seed))
+    assert result.returncode == 2
+    assert "--seed must lie in [0, 2**64)" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_reproduce_tables_accepts_negative_exponent_params():
+    result = run_script("reproduce_tables.py", "--params", "-3.2e-05", "0.999999999488", "1", "0")
+    assert result.returncode == 0, result.stderr
     assert result.stdout.count("verdict: PASS") == 2
 
 

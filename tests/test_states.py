@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -18,11 +20,14 @@ from hyper_rsp.states import (
     UnknownDetectorError,
     fidelity,
     freq_register,
+    hyper_bell_schema,
     make_hyper_bell,
     make_target,
     path_register,
     pol_register,
     project_photon_a,
+    receiver_schema,
+    time_register,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -148,6 +153,49 @@ def test_label_validation():
         StateVector.build(schema, {((), ("D",)): 1.0})
     with pytest.raises(SchemaMismatchError):
         StateVector.build(schema, {((), ("H", "w1")): 1.0})
+
+
+def test_label_validation_after_the_cache_is_warm():
+    schema = receiver_schema(ProtocolKind.TB)
+    for label in schema.labels():
+        schema.validate_label(label)
+    with pytest.raises(SchemaMismatchError, match=r"label \('H',\) has 1 entries, schema has 2"):
+        schema.validate_label(((), ("H",)))
+    with pytest.raises(SchemaMismatchError, match="value 'D' not allowed in register 'pol'"):
+        schema.validate_label(((), ("D", 0)))
+    with pytest.raises(SchemaMismatchError, match="value 2 not allowed in register 'time'"):
+        schema.validate_label(((), ("H", 2)))
+
+
+def test_equal_layouts_share_one_schema():
+    built = Schema((pol_register(), freq_register()), (pol_register(), freq_register()))
+    assert built is hyper_bell_schema(ProtocolKind.PF)
+    assert hyper_bell_schema(ProtocolKind.TB) is hyper_bell_schema(ProtocolKind.TB)
+    assert receiver_schema(ProtocolKind.TB) is Schema((), (pol_register(), time_register()))
+    grown = built.with_register("A", path_register(("a1", "a2")))
+    assert grown is built.with_register("A", path_register(("a1", "a2")))
+    assert grown.without_register("A", "path") is built
+    state = _measured_state()
+    assert project_photon_a(state, Outcome("H", "a1"))[1].schema is receiver_schema(
+        ProtocolKind.PF
+    )
+    assert copy.deepcopy(built) is built
+    assert pickle.loads(pickle.dumps(built)) is built
+
+
+def test_returned_labels_and_index_are_copies():
+    schema = receiver_schema(ProtocolKind.PF)
+    labels, index = schema.labels(), schema.label_index()
+    schema.labels().clear()
+    schema.labels().append(((), ("D", "w1")))
+    mutated = schema.label_index()
+    mutated[((), ("D", "w1"))] = 0
+    mutated.clear()
+    assert schema.labels() == labels
+    assert schema.label_index() == index
+    assert len(labels) == 4
+    with pytest.raises(SchemaMismatchError):
+        schema.validate_label(((), ("D", "w1")))
 
 
 def test_register_rejects_duplicates():
