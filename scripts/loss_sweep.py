@@ -26,6 +26,9 @@ def main():
     parser.add_argument("--csv", default=None, help="write results to a CSV file")
     args = parser.parse_args()
     cli.check_seed(parser, args.seed)
+    for name, value in (("trials", args.trials), ("points", args.points)):
+        if value <= 0:
+            parser.error(f"--{name} must be positive, got {value}")
 
     kind = ProtocolKind.parse(args.protocol)
     params = cli.random_params(args.seed)

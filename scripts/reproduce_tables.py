@@ -47,6 +47,8 @@ def main():
     parser._negative_number_matcher = cli._NEGATIVE_NUMBER
     args = parser.parse_args()
     cli.check_seed(parser, args.seed)
+    if args.trials < 0:
+        parser.error(f"--trials must not be negative, got {args.trials}")
 
     if args.params is None:
         params = cli.random_params(args.seed)

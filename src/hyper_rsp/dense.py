@@ -1,9 +1,15 @@
 """Dense matrix route: the independent check against the sparse label rewrites.
 
-Each element's matrix is assembled column-by-column from its ket images over
-the canonical basis (restricted to the element's legal domain where the map is
-conditional), then applied by plain matrix-vector multiplication with numpy.
-Agreement with the sparse application, and unitarity of every matrix, are the
+Every element acts on one photon and is lowered on that photon alone: its
+matrix M is assembled column-by-column from its ket images over the photon's
+canonical basis (restricted to the element's legal domain where the map is
+conditional).  A canonical vector is read as a (dim A, dim B) grid, and M acts
+on its rows (photon A) or columns (photon B).  This is exact: an element's
+validation, domain and ket images read only its own photon's registers, and the
+canonical order puts photon A's registers first, so the full two-photon matrix
+is M ⊗ I (photon A) or I ⊗ M (photon B) on the domain, and
+max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isometry defect.  Agreement
+with the sparse application, and unitarity of every matrix, are the
 verification currency of the test suite.
 """
 
@@ -21,7 +27,11 @@ SUPPORT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DenseElement:
-    """An element lowered to an explicit matrix over canonical label lists."""
+    """An element lowered to an explicit matrix on its own photon.
+
+    ``in_labels`` and ``out_labels`` are one-photon labels, ordered canonically;
+    ``out_schema`` is the full two-photon schema after the element.
+    """
 
     matrix: np.ndarray
     in_labels: list[Label]
@@ -43,18 +53,25 @@ def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
     return StateVector.build(schema, {labels[i]: vec[i] for i in np.flatnonzero(np.abs(vec))})
 
 
+def _photon_schema(photon: str, schema: Schema) -> Schema:
+    """One photon's registers of ``schema``, the other photon's left empty."""
+    if photon == "A":
+        return Schema(schema.photon_a, ())
+    return Schema((), schema.photon_b)
+
+
 def element_to_dense(element: Element, schema: Schema) -> DenseElement:
-    """Lower one element to its matrix over the canonical (domain) basis."""
+    """Lower one element to its matrix over its own photon's (domain) basis."""
     element.validate(schema)
-    in_labels = element.domain(schema)
-    out_schema = element.output_schema(schema)
-    out_labels = out_schema.labels()
+    local = _photon_schema(element.photon, schema)
+    in_labels = element.domain(local)
+    out_labels = element.output_schema(local).labels()
     out_index = {label: i for i, label in enumerate(out_labels)}
     matrix = np.zeros((len(out_labels), len(in_labels)), dtype=complex)
     for j, label in enumerate(in_labels):
-        for new_label, coeff in element.ket_image(label, schema):
+        for new_label, coeff in element.ket_image(label, local):
             matrix[out_index[new_label], j] += coeff
-    return DenseElement(matrix, in_labels, out_labels, out_schema)
+    return DenseElement(matrix, in_labels, out_labels, element.output_schema(schema))
 
 
 def unitarity_defect(element: Element, schema: Schema) -> float:
@@ -77,18 +94,26 @@ def is_signed_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
 def apply_dense(element: Element, vec: np.ndarray, schema: Schema) -> tuple[np.ndarray, Schema]:
     """Evolve a canonical amplitude vector through one element's matrix.
 
-    The vector must be supported on the element's domain; amplitude outside it
-    means a precondition was violated upstream.
+    The vector is read as a (dim A, dim B) grid, and the element's factor acts
+    on the grid's rows (photon A) or columns (photon B).  The vector must be
+    supported on the element's domain; amplitude outside it means a
+    precondition was violated upstream.
     """
     dense = element_to_dense(element, schema)
-    full_index = schema.label_index()
-    domain_positions = [full_index[label] for label in dense.in_labels]
-    keep = np.zeros(len(full_index), dtype=bool)
+    grid = vec.reshape(_photon_schema("A", schema).dimension(), -1)
+    if element.photon == "B":
+        grid = grid.T
+    own_index = _photon_schema(element.photon, schema).label_index()
+    domain_positions = [own_index[label] for label in dense.in_labels]
+    keep = np.zeros(len(own_index), dtype=bool)
     keep[domain_positions] = True
-    stray = np.abs(vec[~keep])
+    stray = np.abs(grid[~keep])
     if stray.size and stray.max() > SUPPORT_TOL:
         raise ValueError("state has amplitude outside the element's legal domain")
-    return dense.matrix @ vec[domain_positions], dense.out_schema
+    out = dense.matrix @ grid[domain_positions]
+    if element.photon == "B":
+        out = out.T
+    return out.reshape(-1), dense.out_schema
 
 
 def evolve_dense(elements, state: StateVector) -> tuple[np.ndarray, Schema]:

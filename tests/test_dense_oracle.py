@@ -1,6 +1,9 @@
 """Sparse label rewrites against explicit dense matrices in canonical ordering."""
 
+from dataclasses import dataclass
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from conftest import target_params
@@ -16,14 +19,25 @@ from hyper_rsp.dense import (
 )
 from hyper_rsp.elements import (
     DropUniformRegister,
+    Element,
     FrequencyEraser,
     HalfWavePlate,
+    PauliOp,
     PockelsCell,
     PolarizingRouter,
     WavelengthRouter,
+    all_pauli_strings,
 )
 from hyper_rsp.protocols import build_circuit
-from hyper_rsp.states import ProtocolKind, TargetParams, make_hyper_bell
+from hyper_rsp.states import (
+    ProtocolKind,
+    Schema,
+    StateVector,
+    TargetParams,
+    hyper_bell_schema,
+    make_hyper_bell,
+    receiver_schema,
+)
 
 PF = ProtocolKind.PF
 TB = ProtocolKind.TB
@@ -114,3 +128,134 @@ def test_dense_apply_rejects_off_domain_support():
     except ValueError:
         return
     raise AssertionError("off-domain support must be rejected")
+
+
+def full_space_lowering(element, schema):
+    """Reference: the element's matrix over the whole two-photon (domain) basis."""
+    element.validate(schema)
+    in_labels = element.domain(schema)
+    out_labels = element.output_schema(schema).labels()
+    out_index = {label: i for i, label in enumerate(out_labels)}
+    matrix = np.zeros((len(out_labels), len(in_labels)), dtype=complex)
+    for j, label in enumerate(in_labels):
+        for new_label, coeff in element.ket_image(label, schema):
+            matrix[out_index[new_label], j] += coeff
+    return matrix, in_labels
+
+
+def assert_factor_is_exact(element, schema):
+    """The one-photon factor, embedded as M ⊗ I or I ⊗ M, is the full lowering."""
+    reference, reference_domain = full_space_lowering(element, schema)
+    dense = element_to_dense(element, schema)
+    if element.photon == "A":
+        others = Schema((), schema.photon_b).labels()
+        embedded = np.kron(dense.matrix, np.eye(len(others)))
+        domain = [(a, b) for (a, _) in dense.in_labels for (_, b) in others]
+    else:
+        others = Schema(schema.photon_a, ()).labels()
+        embedded = np.kron(np.eye(len(others)), dense.matrix)
+        domain = [(a, b) for (a, _) in others for (_, b) in dense.in_labels]
+    assert domain == reference_domain, element
+    assert np.array_equal(embedded, reference), element
+    assert dense.out_schema == element.output_schema(schema)
+    gram = reference.conj().T @ reference
+    reference_defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    assert abs(unitarity_defect(element, schema) - reference_defect) <= 1e-14, element
+
+
+@given(params=target_params())
+@settings(max_examples=5)
+def test_one_photon_factor_equals_full_space_lowering(params):
+    for kind in (PF, TB):
+        for element, schema in walk_circuit(kind, params):
+            assert_factor_is_exact(element, schema)
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [receiver_schema(PF), receiver_schema(TB), hyper_bell_schema(PF), hyper_bell_schema(TB)],
+    ids=["receiver-pf", "receiver-tb", "channel-pf", "channel-tb"],
+)
+def test_receiver_corrections_factor_exactly(schema):
+    names = tuple(reg.name for reg in schema.photon_b)
+    for string in all_pauli_strings(names):
+        assert_factor_is_exact(PauliOp("B", string), schema)
+
+
+@dataclass(frozen=True)
+class PolarizeToH(Element):
+    """Seeded defect: sends both polarizations to |H>, which is no isometry."""
+
+    def ket_image(self, label, schema):
+        return [(self._set(label, schema.position(self.photon, "pol"), "H"), 1.0 + 0j)]
+
+
+@pytest.mark.parametrize("photon", ["A", "B"])
+@pytest.mark.parametrize("kind", [PF, TB])
+def test_factor_defect_of_a_non_isometry_is_the_full_space_defect(kind, photon):
+    element, schema = PolarizeToH(photon), hyper_bell_schema(kind)
+    assert_factor_is_exact(element, schema)
+    assert unitarity_defect(element, schema) == 1.0
+
+
+@pytest.mark.parametrize("kind", [PF, TB])
+def test_dense_photon_b_correction_matches_sparse(kind):
+    state = make_hyper_bell(kind)
+    names = tuple(reg.name for reg in state.schema.photon_b)
+    for string in all_pauli_strings(names):
+        op = PauliOp("B", string)
+        vec, schema = apply_dense(op, state_to_vector(state), state.schema)
+        sparse = op.apply(state)
+        assert schema == sparse.schema
+        assert max_deviation(sparse, vec) < 1e-10, string
+
+
+def test_dense_photon_b_domain_rejects_off_domain_support():
+    state = make_hyper_bell(TB)  # photon B holds both time bins
+    drop = DropUniformRegister("B", "time", 0)
+    with pytest.raises(ValueError, match="outside the element's legal domain"):
+        apply_dense(drop, state_to_vector(state), state.schema)
+    # Restricted to the early bin, the same drop applies on both routes.
+    early = StateVector.build(
+        state.schema, {label: amp for label, amp in state.items() if label[1][-1] == 0},
+        normalize=True,
+    )
+    vec, schema = apply_dense(drop, state_to_vector(early), early.schema)
+    sparse = drop.apply(early)
+    assert schema == sparse.schema
+    assert max_deviation(sparse, vec) < 1e-10
+
+
+@dataclass(frozen=True)
+class LeakyFlip(Element):
+    """Seeded defect: flips photon A's polarization, and photon B's as well."""
+
+    def ket_image(self, label, schema):
+        flip = {"H": "V", "V": "H"}
+        a, b = label
+        a = (flip[a[0]],) + a[1:]
+        if b:  # silent on a one-photon schema: the leak shows only on the sparse route
+            b = (flip[b[0]],) + b[1:]
+        return [((a, b), 1.0 + 0j)]
+
+
+@dataclass(frozen=True)
+class LeakyPhase(Element):
+    """Seeded defect: a photon-A identity whose sign reads photon B's polarization."""
+
+    def ket_image(self, label, schema):
+        sign = -1.0 if label[1][schema.position("B", "pol")] == "V" else 1.0
+        return [(label, sign + 0j)]
+
+
+@pytest.mark.parametrize("leak", [LeakyFlip("A"), LeakyPhase("A")], ids=["flip", "phase"])
+@pytest.mark.parametrize("kind", [PF, TB])
+def test_crosscheck_catches_a_cross_photon_leak(kind, leak):
+    state = make_hyper_bell(kind)
+    sparse = leak.apply(state)
+    try:
+        vec, schema = apply_dense(leak, state_to_vector(state), state.schema)
+    except (ValueError, KeyError, IndexError):
+        return
+    assert schema == sparse.schema
+    assert max_deviation(sparse, vec) > 1e-10

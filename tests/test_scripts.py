@@ -45,6 +45,22 @@ def test_out_of_range_seed_usage_error(script, seed):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("loss_sweep.py", ("--trials", "0"), "--trials must be positive, got 0"),
+        ("loss_sweep.py", ("--points", "0"), "--points must be positive, got 0"),
+        ("reproduce_tables.py", ("--trials", "-5"), "--trials must not be negative, got -5"),
+    ],
+)
+def test_bad_count_usage_error(script, args, message):
+    result = run_script(script, *args)
+    assert result.returncode == 2
+    assert "usage:" in result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_reproduce_tables_accepts_negative_exponent_params():
     result = run_script("reproduce_tables.py", "--params", "-3.2e-05", "0.999999999488", "1", "0")
     assert result.returncode == 0, result.stderr
