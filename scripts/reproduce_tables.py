@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from hyper_rsp import cli
-from hyper_rsp.runtime import CHUNK_TRIALS, BranchSampler, chunk_generator
+from hyper_rsp.runtime import CHUNK_TRIALS, BranchSampler, chunk_uniforms
 from hyper_rsp.states import ProtocolKind, TargetParams
 
 
@@ -25,8 +25,7 @@ def show_frequencies(kind, params, trials, seed):
     sampler = BranchSampler(kind, params)
     counts = np.zeros(len(sampler.branches), dtype=int)
     for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
-        count = min(CHUNK_TRIALS, trials - chunk_index * CHUNK_TRIALS)
-        uniforms = chunk_generator(seed, chunk_index).random((count, 3))[:, 0]
+        uniforms = chunk_uniforms(seed, trials, chunk_index)[:, 0]
         counts += np.bincount(sampler.draw_many(uniforms), minlength=len(counts))
     p = sampler.branches[0].probability
     sigma = math.sqrt(p * (1 - p) / trials)

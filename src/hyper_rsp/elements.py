@@ -7,6 +7,12 @@ check.  The same ket images feed the dense matrix route in
 :mod:`hyper_rsp.dense`, which independently checks unitarity and
 matrix-vector equivalence.
 
+Some optics are unitary only on legal inputs (path-frequency correlation, empty
+unused ports, a free later time bin, a uniform register).  Each element states
+that rule once, as the per-ket predicate :meth:`Element.admits`; its
+:meth:`Element.domain` is derived from it, so the sparse :meth:`Element.apply`
+and the dense lowering reject exactly the same kets.
+
 Ket conventions used throughout (θ, φ in radians):
 
     rotation      |H⟩ → cosθ|H⟩ + sinθ|V⟩,   |V⟩ → -sinθ|H⟩ + cosθ|V⟩
@@ -89,7 +95,12 @@ class PauliString:
 
 @dataclass(frozen=True)
 class Element:
-    """Base class: a linear map declared ket-by-ket on one photon."""
+    """Base class: a linear map declared ket-by-ket on one photon.
+
+    :meth:`admits` is the element's one legality rule.  The sparse
+    :meth:`apply` rejects any support ket it refuses, and the dense lowering
+    builds its matrix over :meth:`domain`, which is derived from it.
+    """
 
     photon: str
 
@@ -97,27 +108,42 @@ class Element:
     def validate(self, schema: Schema) -> None:
         """Schema-level preconditions; raise if the element cannot apply."""
 
-    def check_support(self, state: StateVector) -> None:
-        """State-level preconditions (correlation, uniformity); default none."""
-
     def output_schema(self, schema: Schema) -> Schema:
         return schema
 
-    def domain(self, schema: Schema) -> list[Label]:
-        """Canonical input labels on which the map is defined (default: all)."""
-        return schema.labels()
+    def admits(self, label: Label, schema: Schema) -> bool:
+        """Whether the map is defined on ``label`` (default: every ket)."""
+        return True
 
     def ket_image(self, label: Label, schema: Schema) -> list[tuple[Label, complex]]:
         raise NotImplementedError
 
-    # -- application -------------------------------------------------------
+    # -- derived -----------------------------------------------------------
+    def domain(self, schema: Schema) -> list[Label]:
+        """Canonical input labels on which the map is defined, memoized per schema:
+        :meth:`admits` is pure, and the dense route lowers each stage twice."""
+        if schema not in self._domains:
+            self._domains[schema] = [
+                label for label in schema.labels() if self.admits(label, schema)
+            ]
+        return list(self._domains[schema])
+
+    @functools.cached_property
+    def _domains(self) -> dict[Schema, list[Label]]:
+        return {}
+
     def apply(self, state: StateVector) -> StateVector:
-        self.validate(state.schema)
-        self.check_support(state)
-        out_schema = self.output_schema(state.schema)
+        schema = state.schema
+        self.validate(schema)
+        out_schema = self.output_schema(schema)
         acc: dict[Label, complex] = {}
         for label, amp in state.items():
-            for new_label, coeff in self.ket_image(label, state.schema):
+            if not self.admits(label, schema):
+                raise CorrelationError(
+                    f"{type(self).__name__}: ket {schema.format_label(label)} lies "
+                    "outside the element's legal domain"
+                )
+            for new_label, coeff in self.ket_image(label, schema):
                 acc[new_label] = acc.get(new_label, 0j) + amp * coeff
         return StateVector.build(out_schema, acc)
 
@@ -177,6 +203,8 @@ class UnbalancedSplitter(Element):
     phi: float
 
     def validate(self, schema: Schema) -> None:
+        if self.path_pair[0] == self.path_pair[1]:
+            raise ValueError(f"splitter needs two distinct paths, got {self.path_pair}")
         reg = schema.register(self.photon, "path")
         for p in self.path_pair:
             reg.index(p)
@@ -243,28 +271,13 @@ class FrequencyEraser(Element):
         if missing:
             raise ValueError(f"correlation does not cover paths {missing}")
 
-    def check_support(self, state: StateVector) -> None:
-        i_freq = state.schema.position(self.photon, "freq")
-        i_path = state.schema.position(self.photon, "path")
-        for label in state.support():
-            part = self._part(label)
-            if part[i_freq] != self.correlation[part[i_path]]:
-                raise CorrelationError(
-                    f"frequency {part[i_freq]!r} on path {part[i_path]!r} breaks the "
-                    "declared path-frequency correlation"
-                )
-
     def output_schema(self, schema: Schema) -> Schema:
         return schema.without_register(self.photon, "freq")
 
-    def domain(self, schema: Schema) -> list[Label]:
-        i_freq = schema.position(self.photon, "freq")
-        i_path = schema.position(self.photon, "path")
-        return [
-            label
-            for label in schema.labels()
-            if (part := self._part(label))[i_freq] == self.correlation[part[i_path]]
-        ]
+    def admits(self, label, schema):
+        part = self._part(label)
+        path = part[schema.position(self.photon, "path")]
+        return part[schema.position(self.photon, "freq")] == self.correlation[path]
 
     def ket_image(self, label, schema):
         i_freq = schema.position(self.photon, "freq")
@@ -300,6 +313,8 @@ class PolarizingRouter(Element):
                     raise ValueError(f"routed path {target!r} not in declared registry")
             return
         path = schema.register(self.photon, "path")
+        if len(self._images) != len(self.routing):
+            raise ValueError("routing sends two inputs of one polarization to the same path")
         in_paths = {key[1] for key in self.routing}
         for p in in_paths:
             path.index(p)
@@ -317,25 +332,19 @@ class PolarizingRouter(Element):
             return schema.with_register(self.photon, path_register(self.registry))
         return schema
 
-    def domain(self, schema: Schema) -> list[Label]:
-        """Labels the router may legally receive.
-
-        A pass-through label sitting on a path some routed input is sent to is
-        an unused input port; occupying it would collide with the routed image,
-        so it is outside the domain.
-        """
+    def admits(self, label, schema):
+        """An unused input port, one a routed input is sent to, must stay empty."""
         if self._entry():
-            return schema.labels()
-        i_pol = schema.position(self.photon, "pol")
-        i_path = schema.position(self.photon, "path")
-        targets = {(pol, target) for (pol, _), target in self.routing.items()}
-        kept = []
-        for label in schema.labels():
-            part = self._part(label)
-            key = (part[i_pol], part[i_path])
-            if key in self.routing or key not in targets:
-                kept.append(label)
-        return kept
+            return True
+        i_pol, i_path = _positions(schema, self.photon, ("pol", "path"))
+        part = self._part(label)
+        key = (part[i_pol], part[i_path])
+        return key in self.routing or key not in self._images
+
+    @functools.cached_property
+    def _images(self) -> frozenset[tuple[str, str]]:
+        """The (polarization, path) pairs the routed inputs are sent to."""
+        return frozenset((pol, target) for (pol, _), target in self.routing.items())
 
     def ket_image(self, label, schema):
         i_pol = schema.position(self.photon, "pol")
@@ -394,24 +403,18 @@ class LongArmDelay(Element):
             and part[schema.position(self.photon, "pol")] == self.long_arm_polarization
         )
 
-    def domain(self, schema: Schema) -> list[Label]:
-        time_values = schema.register(self.photon, "time").values
-        i_time = schema.position(self.photon, "time")
-        return [
-            label
-            for label in schema.labels()
-            if not self._matches(label, schema)
-            or self._part(label)[i_time] + 1 in time_values
-        ]
+    def admits(self, label, schema):
+        """A delayed ket needs a later time bin to move into."""
+        if not self._matches(label, schema):
+            return True
+        delayed = self._part(label)[schema.position(self.photon, "time")] + 1
+        return delayed in schema.register(self.photon, "time").values
 
     def ket_image(self, label, schema):
         if not self._matches(label, schema):
             return [(label, 1.0 + 0j)]
         i_time = schema.position(self.photon, "time")
-        delayed = self._part(label)[i_time] + 1
-        if delayed not in schema.register(self.photon, "time").values:
-            raise ValueError(f"delay pushes time bin to {delayed}, outside the register")
-        return [(self._set(label, i_time, delayed), 1.0 + 0j)]
+        return [(self._set(label, i_time, self._part(label)[i_time] + 1), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -428,24 +431,12 @@ class DropUniformRegister(Element):
     def validate(self, schema: Schema) -> None:
         schema.register(self.photon, self.register).index(self.expected_value)
 
-    def check_support(self, state: StateVector) -> None:
-        pos = state.schema.position(self.photon, self.register)
-        for label in state.support():
-            value = self._part(label)[pos]
-            if value != self.expected_value:
-                raise CorrelationError(
-                    f"register {self.register!r} holds {value!r}, expected uniform "
-                    f"{self.expected_value!r}; cannot drop"
-                )
-
     def output_schema(self, schema: Schema) -> Schema:
         return schema.without_register(self.photon, self.register)
 
-    def domain(self, schema: Schema) -> list[Label]:
-        pos = schema.position(self.photon, self.register)
-        return [
-            label for label in schema.labels() if self._part(label)[pos] == self.expected_value
-        ]
+    def admits(self, label, schema):
+        position = schema.position(self.photon, self.register)
+        return self._part(label)[position] == self.expected_value
 
     def ket_image(self, label, schema):
         return [(self._drop(label, schema.position(self.photon, self.register)), 1.0 + 0j)]
@@ -485,20 +476,17 @@ class BalancedSplitter(Element):
     outputs: tuple[str, str]
 
     def validate(self, schema: Schema) -> None:
+        if len(set(self.inputs)) != 2 or len(set(self.outputs)) != 2:
+            raise ValueError(f"splitter ports must be distinct: {self.inputs} -> {self.outputs}")
         path = schema.register(self.photon, "path")
         for p in self.inputs + self.outputs:
             path.index(p)
 
-    def domain(self, schema: Schema) -> list[Label]:
-        # Fresh output paths are unused ports; amplitude there would collide
-        # with the split images.
-        blocked = set(self.outputs) - set(self.inputs)
-        if not blocked:
-            return schema.labels()
-        i_path = schema.position(self.photon, "path")
-        return [
-            label for label in schema.labels() if self._part(label)[i_path] not in blocked
-        ]
+    def admits(self, label, schema):
+        """Fresh output paths are unused ports; amplitude there would collide
+        with the split images."""
+        here = self._part(label)[schema.position(self.photon, "path")]
+        return here in self.inputs or here not in self.outputs
 
     def ket_image(self, label, schema):
         i_path = schema.position(self.photon, "path")
@@ -559,6 +547,12 @@ def _pauli_images(
     """
     op = PauliOp(photon, string)
     return {label: op.ket_rule(label, schema)[0] for label in schema.labels()}
+
+
+@functools.cache
+def _positions(schema: Schema, photon: str, names: tuple[str, ...]) -> tuple[int, ...]:
+    """Register positions by name, looked up once per schema for per-ket rules."""
+    return tuple(schema.position(photon, name) for name in names)
 
 
 @functools.cache

@@ -110,6 +110,15 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def chunk_uniforms(seed: int, trials: int, chunk_index: int) -> np.ndarray:
+    """The (count, 3) uniforms of chunk ``chunk_index`` of a ``trials``-trial run;
+    every chunk holds ``CHUNK_TRIALS`` trials except a shorter last one."""
+    start = chunk_index * CHUNK_TRIALS
+    if not 0 <= start < trials:
+        raise ValueError(f"chunk {chunk_index} outside a run of {trials} trials")
+    return chunk_generator(seed, chunk_index).random((min(CHUNK_TRIALS, trials - start), 3))
+
+
 class BranchSampler:
     """Exact branch table of one protocol, ready for repeated outcome draws."""
 
@@ -150,10 +159,7 @@ def sample_with_loss(
     detected = 0
     fidelity_sum = 0.0
     for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
-        start = chunk_index * CHUNK_TRIALS
-        count = min(CHUNK_TRIALS, trials - start)
-        rng = chunk_generator(seed, chunk_index)
-        u = rng.random((count, 3))
+        u = chunk_uniforms(seed, trials, chunk_index)
         indices = sampler.draw_many(u[:, 0])
         clicks = (u[:, 1] < eta_d) & (u[:, 2] < eta_d)
         detected += int(clicks.sum())

@@ -18,17 +18,20 @@ from hyper_rsp.dense import (
     vector_to_state,
 )
 from hyper_rsp.elements import (
+    BalancedSplitter,
+    CorrelationError,
     DropUniformRegister,
     Element,
     FrequencyEraser,
     HalfWavePlate,
+    LongArmDelay,
     PauliOp,
     PockelsCell,
     PolarizingRouter,
     WavelengthRouter,
     all_pauli_strings,
 )
-from hyper_rsp.protocols import build_circuit
+from hyper_rsp.protocols import TB_PATHS, build_circuit
 from hyper_rsp.states import (
     ProtocolKind,
     Schema,
@@ -36,7 +39,10 @@ from hyper_rsp.states import (
     TargetParams,
     hyper_bell_schema,
     make_hyper_bell,
+    path_register,
+    pol_register,
     receiver_schema,
+    time_register,
 )
 
 PF = ProtocolKind.PF
@@ -128,6 +134,71 @@ def test_dense_apply_rejects_off_domain_support():
     except ValueError:
         return
     raise AssertionError("off-domain support must be rejected")
+
+
+def own_part(element, label):
+    """The element's photon's half of a two-photon label, as a one-photon label."""
+    return (label[0], ()) if element.photon == "A" else ((), label[1])
+
+
+def assert_routes_agree_ket_by_ket(element, schema):
+    """Every basis ket alone: both routes accept it exactly on the domain, and agree."""
+    own = Schema(schema.photon_a, ()) if element.photon == "A" else Schema((), schema.photon_b)
+    own_domain = set(element.domain(own))
+    full_domain = set(element.domain(schema))
+    basis = np.eye(schema.dimension())
+    for i, label in enumerate(schema.labels()):
+        try:
+            sparse = element.apply(StateVector.build(schema, {label: 1.0}))
+        except CorrelationError:
+            sparse = None
+        try:
+            vec, out_schema = apply_dense(element, basis[i], schema)
+        except ValueError:
+            vec = None
+        in_domain = own_part(element, label) in own_domain
+        assert (sparse is not None) == (vec is not None) == in_domain, (element, label)
+        assert (label in full_domain) == in_domain, (element, label)
+        if sparse is not None:
+            assert out_schema == sparse.schema
+            assert max_deviation(sparse, vec) < 1e-10, (element, label)
+
+
+@given(params=target_params())
+@settings(max_examples=2)
+def test_routes_accept_and_reject_the_same_kets(params):
+    for kind in (PF, TB):
+        for element, schema in walk_circuit(kind, params):
+            assert_routes_agree_ket_by_ket(element, schema)
+
+
+def _path_schema(*registers):
+    return Schema((pol_register(), *registers, path_register(TB_PATHS)), (pol_register(),))
+
+
+@pytest.mark.parametrize(
+    "element, schema, ket",
+    [
+        # an unused input port of the interferometer entry: (H, a1) is sent to k1
+        (PolarizingRouter("A", {("H", "a1"): "k1", ("V", "a1"): "k2"}),
+         _path_schema(), ("H", "k1")),
+        # a fresh output port of the final 50:50 splitter
+        (BalancedSplitter("A", ("k1", "k4"), ("kp1", "kp4")),
+         _path_schema(), ("H", "kp1")),
+        # the long arm of a ket already in the last time bin
+        (LongArmDelay("A", "k2", "V"),
+         _path_schema(time_register((0, 1))), ("V", 1, "k2")),
+    ],
+    ids=["router-unused-port", "splitter-unused-port", "delay-last-bin"],
+)
+def test_both_routes_reject_an_off_domain_ket(element, schema, ket):
+    state = StateVector.build(schema, {(ket, ("H",)): 1.0})
+    message = f"{type(element).__name__}: ket .* outside the element's legal domain"
+    with pytest.raises(CorrelationError, match=message):
+        element.apply(state)
+    with pytest.raises(ValueError, match="outside the element's legal domain"):
+        apply_dense(element, state_to_vector(state), schema)
+    assert_routes_agree_ket_by_ket(element, schema)
 
 
 def full_space_lowering(element, schema):

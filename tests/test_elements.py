@@ -462,3 +462,46 @@ def test_sender_side_optics_do_not_touch_receiver_marginal(params):
             assert set(after) == set(before)
             for key, value in before.items():
                 assert abs(after[key] - value) < 1e-10, element
+
+
+# ---------------------------------------------------------------------------
+# tables that are not isometries
+
+
+def _state_on(paths, ket):
+    schema = Schema((pol_register(), path_register(paths)), (pol_register(),))
+    return StateVector.build(schema, {(ket, ("H",)): 1.0})
+
+
+@pytest.mark.parametrize(
+    "element, state",
+    [
+        # (H, a1) and (H, a2) both land on (H, k1)
+        (
+            PolarizingRouter("A", {("H", "a1"): "k1", ("V", "a1"): "k2",
+                                   ("H", "a2"): "k1", ("V", "a2"): "k3"}),
+            _state_on(("a1", "a2", "k1", "k2", "k3"), ("H", "a1")),
+        ),
+        # a repeated input can never reach the second splitter row
+        (
+            BalancedSplitter("A", ("k1", "k1"), ("kp1", "kp4")),
+            _state_on(("k1", "k4", "kp1", "kp4"), ("H", "k1")),
+        ),
+        # both inputs collapse onto one output
+        (
+            BalancedSplitter("A", ("k1", "k4"), ("kp1", "kp1")),
+            _state_on(("k1", "k4", "kp1", "kp4"), ("H", "k1")),
+        ),
+        (
+            UnbalancedSplitter("A", ("a1", "a1"), 0.7),
+            _state_on(("a1", "a2"), ("H", "a1")),
+        ),
+    ],
+    ids=["router-shared-image", "splitter-repeated-input", "splitter-repeated-output",
+         "unbalanced-repeated-pair"],
+)
+def test_validate_rejects_non_isometric_tables(element, state):
+    with pytest.raises(ValueError, match="same path|distinct"):
+        element.validate(state.schema)
+    with pytest.raises(ValueError, match="same path|distinct"):
+        element.apply(state)

@@ -14,6 +14,7 @@ from hyper_rsp.runtime import (
     BranchSampler,
     ChannelMessage,
     chunk_generator,
+    chunk_uniforms,
     decode_outcome,
     encode_outcome,
     message_from_bytes,
@@ -174,18 +175,30 @@ def test_different_seeds_differ(generic_params):
 
 
 def test_chunked_streams_merge_independent_of_order(generic_params):
-    """Recompute the per-chunk detections by hand, in reverse chunk order."""
+    """Per-chunk detections drawn in reverse chunk order merge to the run's count."""
     eta = 0.8
     trials = CHUNK_TRIALS * 2 + 1234
     stats = sample_with_loss(PF, generic_params, eta_d=eta, trials=trials, seed=55)
     detected = 0
-    chunks = list(range(math.ceil(trials / CHUNK_TRIALS)))
-    for chunk_index in reversed(chunks):
-        start = chunk_index * CHUNK_TRIALS
-        count = min(CHUNK_TRIALS, trials - start)
-        u = chunk_generator(55, chunk_index).random((count, 3))
+    for chunk_index in reversed(range(math.ceil(trials / CHUNK_TRIALS))):
+        u = chunk_uniforms(55, trials, chunk_index)
         detected += int(((u[:, 1] < eta) & (u[:, 2] < eta)).sum())
     assert detected == stats.detected
+
+
+def test_short_last_chunk_is_the_documented_philox_stream():
+    seed, trials = 2**64 - 3, CHUNK_TRIALS * 3 + 77
+    key = np.array([seed, 3], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key)).random((77, 3))
+    assert np.array_equal(chunk_uniforms(seed, trials, 3), expected)
+
+
+def test_chunk_bounds():
+    assert chunk_uniforms(7, CHUNK_TRIALS, 0).shape == (CHUNK_TRIALS, 3)
+    assert chunk_uniforms(7, CHUNK_TRIALS + 1, 1).shape == (1, 3)
+    for chunk_index in (-1, 1):
+        with pytest.raises(ValueError, match="chunk"):
+            chunk_uniforms(7, CHUNK_TRIALS, chunk_index)
 
 
 def test_loss_validation(generic_params):
