@@ -2,12 +2,12 @@
 
 Every element acts on one photon and is lowered on that photon alone: its
 matrix M is assembled column-by-column from its ket images over the photon's
-canonical basis (restricted to the element's legal domain where the map is
+canonical kets (restricted to the element's legal domain where the map is
 conditional).  A canonical vector is read as a (dim A, dim B) grid, and M acts
-on its rows (photon A) or columns (photon B).  This is exact: an element's
-validation, domain and ket images read only its own photon's registers, and the
-canonical order puts photon A's registers first, so the full two-photon matrix
-is M ⊗ I (photon A) or I ⊗ M (photon B) on the domain, and
+on its rows (photon A) or columns (photon B).  This is exact by the element
+interface: domain and ket images are handed only the photon's own ket and
+layout, and the canonical order puts photon A's registers first, so the full
+two-photon matrix is M ⊗ I (photon A) or I ⊗ M (photon B) on the domain, and
 max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isometry defect.  Agreement
 with the sparse application, and unitarity of every matrix, are the
 verification currency of the test suite.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import Element
-from .states import Label, Schema, StateVector
+from .states import Schema, StateVector
 
 SUPPORT_TOL = 1e-12
 
@@ -29,22 +29,23 @@ SUPPORT_TOL = 1e-12
 class DenseElement:
     """An element lowered to an explicit matrix on its own photon.
 
-    ``in_labels`` and ``out_labels`` are one-photon labels, ordered canonically;
-    ``out_schema`` is the full two-photon schema after the element.
+    ``in_kets`` and ``out_kets`` are the photon's kets (value tuples), ordered
+    canonically; ``out_schema`` is the full two-photon schema after the element.
     """
 
     matrix: np.ndarray
-    in_labels: list[Label]
-    out_labels: list[Label]
+    in_kets: list[tuple]
+    out_kets: list[tuple]
     out_schema: Schema
 
 
 def state_to_vector(state: StateVector) -> np.ndarray:
-    """Amplitudes in canonical lexicographic order."""
-    index = state.schema.label_index()
+    """Amplitudes in canonical lexicographic order: label (a, b) sits at
+    i_A(a) · dim B + i_B(b)."""
+    a_index, b_index = state.schema.layout("A").index, state.schema.layout("B").index
     vec = np.zeros(state.schema.dimension(), dtype=complex)
-    for label, amp in state.items():
-        vec[index[label]] = amp
+    for (a, b), amp in state.items():
+        vec[a_index[a] * len(b_index) + b_index[b]] = amp
     return vec
 
 
@@ -53,25 +54,18 @@ def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
     return StateVector.build(schema, {labels[i]: vec[i] for i in np.flatnonzero(np.abs(vec))})
 
 
-def _photon_schema(photon: str, schema: Schema) -> Schema:
-    """One photon's registers of ``schema``, the other photon's left empty."""
-    if photon == "A":
-        return Schema(schema.photon_a, ())
-    return Schema((), schema.photon_b)
-
-
 def element_to_dense(element: Element, schema: Schema) -> DenseElement:
-    """Lower one element to its matrix over its own photon's (domain) basis."""
+    """Lower one element to its matrix over its own photon's (domain) kets."""
     element.validate(schema)
-    local = _photon_schema(element.photon, schema)
-    in_labels = element.domain(local)
-    out_labels = element.output_schema(local).labels()
-    out_index = {label: i for i, label in enumerate(out_labels)}
-    matrix = np.zeros((len(out_labels), len(in_labels)), dtype=complex)
-    for j, label in enumerate(in_labels):
-        for new_label, coeff in element.ket_image(label, local):
-            matrix[out_index[new_label], j] += coeff
-    return DenseElement(matrix, in_labels, out_labels, element.output_schema(schema))
+    layout = schema.layout(element.photon)
+    out_schema = element.output_schema(schema)
+    out_layout = out_schema.layout(element.photon)
+    in_kets = element.domain(layout)
+    matrix = np.zeros((len(out_layout.kets), len(in_kets)), dtype=complex)
+    for j, ket in enumerate(in_kets):
+        for image, coeff in element.ket_image(ket, layout):
+            matrix[out_layout.index[image], j] += coeff
+    return DenseElement(matrix, in_kets, list(out_layout.kets), out_schema)
 
 
 def unitarity_defect(element: Element, schema: Schema) -> float:
@@ -100,11 +94,11 @@ def apply_dense(element: Element, vec: np.ndarray, schema: Schema) -> tuple[np.n
     precondition was violated upstream.
     """
     dense = element_to_dense(element, schema)
-    grid = vec.reshape(_photon_schema("A", schema).dimension(), -1)
+    grid = vec.reshape(len(schema.layout("A").kets), -1)
     if element.photon == "B":
         grid = grid.T
-    own_index = _photon_schema(element.photon, schema).label_index()
-    domain_positions = [own_index[label] for label in dense.in_labels]
+    own_index = schema.layout(element.photon).index
+    domain_positions = [own_index[ket] for ket in dense.in_kets]
     keep = np.zeros(len(own_index), dtype=bool)
     keep[domain_positions] = True
     stray = np.abs(grid[~keep])

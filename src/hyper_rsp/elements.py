@@ -1,11 +1,13 @@
 """Linear-optical elements as verified rewrites on labeled state vectors.
 
 Every element is a small frozen dataclass acting on one photon.  Its action is
-declared per basis ket through :meth:`Element.ket_image`; application is the
-linear extension over the state's support, followed by pruning and a norm
-check.  The same ket images feed the dense matrix route in
-:mod:`hyper_rsp.dense`, which independently checks unitarity and
-matrix-vector equivalence.
+declared per ket of that photon through :meth:`Element.ket_image`, which is
+handed only the photon's value tuple and its :class:`~hyper_rsp.states.Layout`;
+application splits each two-photon label once, extends the map linearly over
+the state's support, and ends with pruning and a norm check.  A rule never
+sees the other photon, so every element is M ⊗ I (or I ⊗ M) by construction.
+The same ket images feed the dense matrix route in :mod:`hyper_rsp.dense`,
+which independently checks unitarity and matrix-vector equivalence.
 
 Some optics are unitary only on legal inputs (path-frequency correlation, empty
 unused ports, a free later time bin, a uniform register).  Each element states
@@ -34,6 +36,7 @@ from typing import Mapping
 
 from .states import (
     Label,
+    Layout,
     Schema,
     SchemaMismatchError,
     StateVector,
@@ -97,9 +100,12 @@ class PauliString:
 class Element:
     """Base class: a linear map declared ket-by-ket on one photon.
 
-    :meth:`admits` is the element's one legality rule.  The sparse
-    :meth:`apply` rejects any support ket it refuses, and the dense lowering
-    builds its matrix over :meth:`domain`, which is derived from it.
+    :meth:`admits` and :meth:`ket_image` receive only the acting photon's value
+    tuple (its ket) and that photon's :class:`Layout`; :meth:`apply` splits each
+    two-photon label once and reassembles it around the image.  :meth:`admits`
+    is the element's one legality rule: the sparse :meth:`apply` rejects any
+    support ket it refuses, and the dense lowering builds its matrix over
+    :meth:`domain`, which is derived from it.
     """
 
     photon: str
@@ -111,62 +117,41 @@ class Element:
     def output_schema(self, schema: Schema) -> Schema:
         return schema
 
-    def admits(self, label: Label, schema: Schema) -> bool:
-        """Whether the map is defined on ``label`` (default: every ket)."""
+    def admits(self, ket: tuple, layout: Layout) -> bool:
+        """Whether the map is defined on ``ket`` (default: every ket)."""
         return True
 
-    def ket_image(self, label: Label, schema: Schema) -> list[tuple[Label, complex]]:
+    def ket_image(self, ket: tuple, layout: Layout) -> list[tuple[tuple, complex]]:
         raise NotImplementedError
 
     # -- derived -----------------------------------------------------------
-    def domain(self, schema: Schema) -> list[Label]:
-        """Canonical input labels on which the map is defined, memoized per schema:
-        :meth:`admits` is pure, and the dense route lowers each stage twice."""
-        if schema not in self._domains:
-            self._domains[schema] = [
-                label for label in schema.labels() if self.admits(label, schema)
-            ]
-        return list(self._domains[schema])
-
-    @functools.cached_property
-    def _domains(self) -> dict[Schema, list[Label]]:
-        return {}
+    def domain(self, layout: Layout) -> list[tuple]:
+        """The photon's canonical kets on which the map is defined."""
+        return [ket for ket in layout.kets if self.admits(ket, layout)]
 
     def apply(self, state: StateVector) -> StateVector:
         schema = state.schema
         self.validate(schema)
         out_schema = self.output_schema(schema)
+        layout = schema.layout(self.photon)
+        on_a = self.photon == "A"
         acc: dict[Label, complex] = {}
         for label, amp in state.items():
-            if not self.admits(label, schema):
+            ket, rest = label if on_a else label[::-1]
+            if not self.admits(ket, layout):
                 raise CorrelationError(
                     f"{type(self).__name__}: ket {schema.format_label(label)} lies "
                     "outside the element's legal domain"
                 )
-            for new_label, coeff in self.ket_image(label, schema):
+            for image, coeff in self.ket_image(ket, layout):
+                new_label = (image, rest) if on_a else (rest, image)
                 acc[new_label] = acc.get(new_label, 0j) + amp * coeff
         return StateVector.build(out_schema, acc)
 
-    # -- label surgery helpers ----------------------------------------------
-    def _part(self, label: Label) -> tuple:
-        return label[0] if self.photon == "A" else label[1]
 
-    def _replace(self, label: Label, part: tuple) -> Label:
-        if self.photon == "A":
-            return (part, label[1])
-        return (label[0], part)
-
-    def _set(self, label: Label, position: int, value) -> Label:
-        part = list(self._part(label))
-        part[position] = value
-        return self._replace(label, tuple(part))
-
-    def _append(self, label: Label, value) -> Label:
-        return self._replace(label, self._part(label) + (value,))
-
-    def _drop(self, label: Label, position: int) -> Label:
-        part = self._part(label)
-        return self._replace(label, part[:position] + part[position + 1 :])
+def _with(ket: tuple, position: int, value) -> tuple:
+    """``ket`` with the entry at ``position`` set to ``value``."""
+    return ket[:position] + (value,) + ket[position + 1 :]
 
 
 @dataclass(frozen=True)
@@ -183,16 +168,14 @@ class PolarizationRotation(Element):
             for p in self.paths:
                 reg.index(p)
 
-    def ket_image(self, label, schema):
-        if self.paths is not None:
-            i_path = schema.position(self.photon, "path")
-            if self._part(label)[i_path] not in self.paths:
-                return [(label, 1.0 + 0j)]
-        i_pol = schema.position(self.photon, "pol")
+    def ket_image(self, ket, layout):
+        if self.paths is not None and ket[layout.positions["path"]] not in self.paths:
+            return [(ket, 1.0 + 0j)]
+        i_pol = layout.positions["pol"]
         c, s = math.cos(self.theta), math.sin(self.theta)
-        if self._part(label)[i_pol] == "H":
-            return [(self._set(label, i_pol, "H"), c), (self._set(label, i_pol, "V"), s)]
-        return [(self._set(label, i_pol, "H"), -s), (self._set(label, i_pol, "V"), c)]
+        if ket[i_pol] == "H":
+            return [(_with(ket, i_pol, "H"), c), (_with(ket, i_pol, "V"), s)]
+        return [(_with(ket, i_pol, "H"), -s), (_with(ket, i_pol, "V"), c)]
 
 
 @dataclass(frozen=True)
@@ -209,16 +192,15 @@ class UnbalancedSplitter(Element):
         for p in self.path_pair:
             reg.index(p)
 
-    def ket_image(self, label, schema):
-        i_path = schema.position(self.photon, "path")
-        here = self._part(label)[i_path]
+    def ket_image(self, ket, layout):
+        i_path = layout.positions["path"]
         p, q = self.path_pair
         c, s = math.cos(self.phi / 2.0), math.sin(self.phi / 2.0)
-        if here == p:
-            return [(self._set(label, i_path, p), c), (self._set(label, i_path, q), s)]
-        if here == q:
-            return [(self._set(label, i_path, p), -s), (self._set(label, i_path, q), c)]
-        return [(label, 1.0 + 0j)]
+        if ket[i_path] == p:
+            return [(_with(ket, i_path, p), c), (_with(ket, i_path, q), s)]
+        if ket[i_path] == q:
+            return [(_with(ket, i_path, p), -s), (_with(ket, i_path, q), c)]
+        return [(ket, 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -246,10 +228,8 @@ class WavelengthRouter(Element):
     def output_schema(self, schema: Schema) -> Schema:
         return schema.with_register(self.photon, path_register(self.registry))
 
-    def ket_image(self, label, schema):
-        i_freq = schema.position(self.photon, "freq")
-        freq = self._part(label)[i_freq]
-        return [(self._append(label, self.routing[freq]), 1.0 + 0j)]
+    def ket_image(self, ket, layout):
+        return [(ket + (self.routing[ket[layout.positions["freq"]]],), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -274,14 +254,13 @@ class FrequencyEraser(Element):
     def output_schema(self, schema: Schema) -> Schema:
         return schema.without_register(self.photon, "freq")
 
-    def admits(self, label, schema):
-        part = self._part(label)
-        path = part[schema.position(self.photon, "path")]
-        return part[schema.position(self.photon, "freq")] == self.correlation[path]
+    def admits(self, ket, layout):
+        path = ket[layout.positions["path"]]
+        return ket[layout.positions["freq"]] == self.correlation[path]
 
-    def ket_image(self, label, schema):
-        i_freq = schema.position(self.photon, "freq")
-        return [(self._drop(label, i_freq), 1.0 + 0j)]
+    def ket_image(self, ket, layout):
+        i_freq = layout.positions["freq"]
+        return [(ket[:i_freq] + ket[i_freq + 1 :], 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -332,13 +311,11 @@ class PolarizingRouter(Element):
             return schema.with_register(self.photon, path_register(self.registry))
         return schema
 
-    def admits(self, label, schema):
+    def admits(self, ket, layout):
         """An unused input port, one a routed input is sent to, must stay empty."""
         if self._entry():
             return True
-        i_pol, i_path = _positions(schema, self.photon, ("pol", "path"))
-        part = self._part(label)
-        key = (part[i_pol], part[i_path])
+        key = (ket[layout.positions["pol"]], ket[layout.positions["path"]])
         return key in self.routing or key not in self._images
 
     @functools.cached_property
@@ -346,16 +323,14 @@ class PolarizingRouter(Element):
         """The (polarization, path) pairs the routed inputs are sent to."""
         return frozenset((pol, target) for (pol, _), target in self.routing.items())
 
-    def ket_image(self, label, schema):
-        i_pol = schema.position(self.photon, "pol")
-        pol = self._part(label)[i_pol]
+    def ket_image(self, ket, layout):
+        pol = ket[layout.positions["pol"]]
         if self._entry():
-            return [(self._append(label, self.routing[pol]), 1.0 + 0j)]
-        i_path = schema.position(self.photon, "path")
-        here = self._part(label)[i_path]
-        if (pol, here) not in self.routing:
-            return [(label, 1.0 + 0j)]
-        return [(self._set(label, i_path, self.routing[(pol, here)]), 1.0 + 0j)]
+            return [(ket + (self.routing[pol],), 1.0 + 0j)]
+        i_path = layout.positions["path"]
+        if (pol, ket[i_path]) not in self.routing:
+            return [(ket, 1.0 + 0j)]
+        return [(_with(ket, i_path, self.routing[(pol, ket[i_path])]), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -367,20 +342,18 @@ class PockelsCell(Element):
 
     def validate(self, schema: Schema) -> None:
         schema.register(self.photon, "pol")
-        schema.register(self.photon, "time")
+        schema.register(self.photon, "time").index(self.time_value)
         path = schema.register(self.photon, "path")
         for p in self.paths:
             path.index(p)
 
-    def ket_image(self, label, schema):
-        part = self._part(label)
-        i_pol = schema.position(self.photon, "pol")
-        i_path = schema.position(self.photon, "path")
-        i_time = schema.position(self.photon, "time")
-        if part[i_path] in self.paths and part[i_time] == self.time_value:
-            flipped = "V" if part[i_pol] == "H" else "H"
-            return [(self._set(label, i_pol, flipped), 1.0 + 0j)]
-        return [(label, 1.0 + 0j)]
+    def ket_image(self, ket, layout):
+        i_pol = layout.positions["pol"]
+        on_path = ket[layout.positions["path"]] in self.paths
+        if on_path and ket[layout.positions["time"]] == self.time_value:
+            flipped = "V" if ket[i_pol] == "H" else "H"
+            return [(_with(ket, i_pol, flipped), 1.0 + 0j)]
+        return [(ket, 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -392,29 +365,28 @@ class LongArmDelay(Element):
     long_arm_polarization: str
 
     def validate(self, schema: Schema) -> None:
-        schema.register(self.photon, "pol")
+        schema.register(self.photon, "pol").index(self.long_arm_polarization)
         schema.register(self.photon, "time")
         schema.register(self.photon, "path").index(self.path)
 
-    def _matches(self, label: Label, schema: Schema) -> bool:
-        part = self._part(label)
+    def _matches(self, ket: tuple, layout: Layout) -> bool:
         return (
-            part[schema.position(self.photon, "path")] == self.path
-            and part[schema.position(self.photon, "pol")] == self.long_arm_polarization
+            ket[layout.positions["path"]] == self.path
+            and ket[layout.positions["pol"]] == self.long_arm_polarization
         )
 
-    def admits(self, label, schema):
+    def admits(self, ket, layout):
         """A delayed ket needs a later time bin to move into."""
-        if not self._matches(label, schema):
+        if not self._matches(ket, layout):
             return True
-        delayed = self._part(label)[schema.position(self.photon, "time")] + 1
-        return delayed in schema.register(self.photon, "time").values
+        i_time = layout.positions["time"]
+        return ket[i_time] + 1 in layout.registers[i_time].values
 
-    def ket_image(self, label, schema):
-        if not self._matches(label, schema):
-            return [(label, 1.0 + 0j)]
-        i_time = schema.position(self.photon, "time")
-        return [(self._set(label, i_time, self._part(label)[i_time] + 1), 1.0 + 0j)]
+    def ket_image(self, ket, layout):
+        if not self._matches(ket, layout):
+            return [(ket, 1.0 + 0j)]
+        i_time = layout.positions["time"]
+        return [(_with(ket, i_time, ket[i_time] + 1), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -434,12 +406,12 @@ class DropUniformRegister(Element):
     def output_schema(self, schema: Schema) -> Schema:
         return schema.without_register(self.photon, self.register)
 
-    def admits(self, label, schema):
-        position = schema.position(self.photon, self.register)
-        return self._part(label)[position] == self.expected_value
+    def admits(self, ket, layout):
+        return ket[layout.positions[self.register]] == self.expected_value
 
-    def ket_image(self, label, schema):
-        return [(self._drop(label, schema.position(self.photon, self.register)), 1.0 + 0j)]
+    def ket_image(self, ket, layout):
+        position = layout.positions[self.register]
+        return [(ket[:position] + ket[position + 1 :], 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -454,14 +426,12 @@ class HalfWavePlate(Element):
         for p in self.paths:
             path.index(p)
 
-    def ket_image(self, label, schema):
-        part = self._part(label)
-        i_pol = schema.position(self.photon, "pol")
-        i_path = schema.position(self.photon, "path")
-        if part[i_path] in self.paths:
-            flipped = "V" if part[i_pol] == "H" else "H"
-            return [(self._set(label, i_pol, flipped), 1.0 + 0j)]
-        return [(label, 1.0 + 0j)]
+    def ket_image(self, ket, layout):
+        i_pol = layout.positions["pol"]
+        if ket[layout.positions["path"]] in self.paths:
+            flipped = "V" if ket[i_pol] == "H" else "H"
+            return [(_with(ket, i_pol, flipped), 1.0 + 0j)]
+        return [(ket, 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -482,23 +452,22 @@ class BalancedSplitter(Element):
         for p in self.inputs + self.outputs:
             path.index(p)
 
-    def admits(self, label, schema):
+    def admits(self, ket, layout):
         """Fresh output paths are unused ports; amplitude there would collide
         with the split images."""
-        here = self._part(label)[schema.position(self.photon, "path")]
+        here = ket[layout.positions["path"]]
         return here in self.inputs or here not in self.outputs
 
-    def ket_image(self, label, schema):
-        i_path = schema.position(self.photon, "path")
-        here = self._part(label)[i_path]
+    def ket_image(self, ket, layout):
+        i_path = layout.positions["path"]
         in1, in2 = self.inputs
         out1, out2 = self.outputs
         r = 1.0 / math.sqrt(2.0)
-        if here == in1:
-            return [(self._set(label, i_path, out1), r), (self._set(label, i_path, out2), r)]
-        if here == in2:
-            return [(self._set(label, i_path, out1), r), (self._set(label, i_path, out2), -r)]
-        return [(label, 1.0 + 0j)]
+        if ket[i_path] == in1:
+            return [(_with(ket, i_path, out1), r), (_with(ket, i_path, out2), r)]
+        if ket[i_path] == in2:
+            return [(_with(ket, i_path, out1), r), (_with(ket, i_path, out2), -r)]
+        return [(ket, 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -516,43 +485,33 @@ class PauliOp(Element):
                     f"{len(reg.values)} values"
                 )
 
-    def ket_image(self, label, schema):
-        image = _pauli_images(schema, self.photon, self.string).get(label)
-        if image is None:  # outside the schema's basis: the rule's own answer or error
-            return self.ket_rule(label, schema)
+    def ket_image(self, ket, layout):
+        image = _pauli_images(layout, self.string).get(ket)
+        if image is None:  # outside the layout's basis: the rule's own answer or error
+            return self.ket_rule(ket, layout)
         return [image]
 
-    def ket_rule(self, label, schema):
+    def ket_rule(self, ket, layout):
         """The per-ket definition that :func:`_pauli_images` tabulates."""
-        out = label
         sign = 1.0
         for register, axis in self.string.factors:
-            pos = schema.position(self.photon, register)
-            reg = schema.register(self.photon, register)
-            index = reg.index(self._part(out)[pos])
-            new_index, factor_sign = _pauli_factor_action(axis, index)
+            pos = layout.position(register)
+            reg = layout.registers[pos]
+            new_index, factor_sign = _pauli_factor_action(axis, reg.index(ket[pos]))
             sign *= factor_sign
-            out = self._set(out, pos, reg.values[new_index])
-        return [(out, sign + 0j)]
+            ket = _with(ket, pos, reg.values[new_index])
+        return [(ket, sign + 0j)]
 
 
 @functools.cache
-def _pauli_images(
-    schema: Schema, photon: str, string: PauliString
-) -> dict[Label, tuple[Label, complex]]:
-    """One correction's signed permutation of the schema's basis labels.
+def _pauli_images(layout: Layout, string: PauliString) -> dict[tuple, tuple[tuple, complex]]:
+    """One correction's signed permutation of the layout's canonical kets.
 
     Keyed by value, since every candidate of the correction search is a fresh
     PauliOp; bounded by the number of schemas times two photons times 16.
     """
-    op = PauliOp(photon, string)
-    return {label: op.ket_rule(label, schema)[0] for label in schema.labels()}
-
-
-@functools.cache
-def _positions(schema: Schema, photon: str, names: tuple[str, ...]) -> tuple[int, ...]:
-    """Register positions by name, looked up once per schema for per-ket rules."""
-    return tuple(schema.position(photon, name) for name in names)
+    op = PauliOp(layout.photon, string)
+    return {ket: op.ket_rule(ket, layout)[0] for ket in layout.kets}
 
 
 @functools.cache

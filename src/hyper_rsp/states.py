@@ -101,6 +101,37 @@ def path_register(paths: Iterable[str]) -> Register:
     return Register("path", tuple(paths))
 
 
+class Layout:
+    """One photon's register layout: its registers, their positions by name, and
+    its canonical kets (value tuples, lexicographic) with their index.
+
+    Built once per interned :class:`Schema` and photon; every per-ket rule reads
+    its registers here.
+    """
+
+    def __init__(self, photon: str, registers: tuple[Register, ...]):
+        names = [r.name for r in registers]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate register names: {names}")
+        self.photon = photon
+        self.registers = registers
+        self.positions = {name: position for position, name in enumerate(names)}
+
+    @cached_property
+    def kets(self) -> tuple[tuple, ...]:
+        return tuple(product(*(reg.values for reg in self.registers)))
+
+    @cached_property
+    def index(self) -> dict[tuple, int]:
+        return {ket: i for i, ket in enumerate(self.kets)}
+
+    def position(self, name: str) -> int:
+        try:
+            return self.positions[name]
+        except KeyError:
+            raise SchemaMismatchError(f"photon {self.photon} has no {name!r} register") from None
+
+
 #: The one Schema instance of each register layout; see Schema.__new__.
 _SCHEMAS: dict[tuple, "Schema"] = {}
 
@@ -110,9 +141,10 @@ class Schema:
     """Fixed register layout of one circuit stage (photon A tuple, photon B tuple).
 
     Instances are interned: equal layouts give the identical object, so the
-    register and label lookups below are built once per layout and shared by
-    every state on it.  ``__new__`` sets the fields, once, so constructing an
-    existing layout again writes nothing to the shared instance.
+    per-photon :class:`Layout` and the label lookups below are built once per
+    layout and shared by every state on it.  ``__new__`` sets the fields, once,
+    so constructing an existing layout again writes nothing to the shared
+    instance.
     """
 
     photon_a: tuple[Register, ...]
@@ -122,13 +154,11 @@ class Schema:
         key = (photon_a, photon_b)
         schema = _SCHEMAS.get(key)
         if schema is None:
-            for regs in key:
-                names = [r.name for r in regs]
-                if len(set(names)) != len(names):
-                    raise ValueError(f"duplicate register names: {names}")
+            layouts = {"A": Layout("A", photon_a), "B": Layout("B", photon_b)}
             schema = super().__new__(cls)
             object.__setattr__(schema, "photon_a", photon_a)
             object.__setattr__(schema, "photon_b", photon_b)
+            object.__setattr__(schema, "_layouts", layouts)
             object.__setattr__(schema, "_hash", hash(key))
             _SCHEMAS[key] = schema
         return schema
@@ -140,46 +170,32 @@ class Schema:
         return Schema, (self.photon_a, self.photon_b)
 
     @cached_property
-    def _slots(self) -> dict[tuple[str, str], tuple[int, Register]]:
-        """(photon, register name) → (position, register)."""
-        return {
-            (photon, reg.name): (position, reg)
-            for photon, regs in (("A", self.photon_a), ("B", self.photon_b))
-            for position, reg in enumerate(regs)
-        }
-
-    @cached_property
     def _labels(self) -> tuple[Label, ...]:
-        a_axes = [reg.values for reg in self.photon_a]
-        b_axes = [reg.values for reg in self.photon_b]
-        return tuple((a, b) for a in product(*a_axes) for b in product(*b_axes))
+        a_kets, b_kets = self._layouts["A"].kets, self._layouts["B"].kets
+        return tuple((a, b) for a in a_kets for b in b_kets)
 
     @cached_property
     def _label_set(self) -> frozenset[Label]:
         return frozenset(self._labels)
 
-    def _slot(self, photon: str, name: str) -> tuple[int, Register]:
+    def layout(self, photon: str) -> Layout:
         try:
-            return self._slots[photon, name]
+            return self._layouts[photon]
         except KeyError:
-            self.registers(photon)  # rejects a photon other than A or B
-            raise SchemaMismatchError(f"photon {photon} has no {name!r} register") from None
+            raise ValueError(f"photon must be 'A' or 'B', got {photon!r}") from None
 
     def registers(self, photon: str) -> tuple[Register, ...]:
-        if photon == "A":
-            return self.photon_a
-        if photon == "B":
-            return self.photon_b
-        raise ValueError(f"photon must be 'A' or 'B', got {photon!r}")
+        return self.layout(photon).registers
 
     def has_register(self, photon: str, name: str) -> bool:
-        return any(r.name == name for r in self.registers(photon))
+        return name in self.layout(photon).positions
 
     def register(self, photon: str, name: str) -> Register:
-        return self._slot(photon, name)[1]
+        layout = self.layout(photon)
+        return layout.registers[layout.position(name)]
 
     def position(self, photon: str, name: str) -> int:
-        return self._slot(photon, name)[0]
+        return self.layout(photon).position(name)
 
     def with_register(self, photon: str, register: Register) -> "Schema":
         """Append a register to one photon (explicit schema transform)."""
@@ -201,10 +217,7 @@ class Schema:
         return Schema(self.photon_a, trimmed)
 
     def dimension(self) -> int:
-        dim = 1
-        for reg in self.photon_a + self.photon_b:
-            dim *= len(reg.values)
-        return dim
+        return len(self._layouts["A"].kets) * len(self._layouts["B"].kets)
 
     def labels(self) -> list[Label]:
         """All basis labels in canonical (lexicographic) order."""

@@ -21,6 +21,7 @@ from hyper_rsp.elements import (
     WavelengthRouter,
     all_pauli_strings,
 )
+from hyper_rsp.protocols import TB_PATHS
 from hyper_rsp.states import (
     ProtocolKind,
     Schema,
@@ -280,6 +281,24 @@ def test_delay_ignores_other_polarization():
     assert_amplitudes_equal(delayed, dict(state.items()))
 
 
+@pytest.mark.parametrize(
+    "element",
+    [PockelsCell("A", ("a2",), time_value=7), LongArmDelay("A", "k2", "X")],
+    ids=["pockels-time-bin", "delay-polarization"],
+)
+def test_validate_rejects_values_outside_the_registers(element):
+    """A value the registers lack would leave every ket unchanged, silently."""
+    schema = Schema(
+        (pol_register(), time_register((0, 1, 2)), path_register(TB_PATHS)),
+        (pol_register(), time_register()),
+    )
+    state = StateVector.build(schema, {(("V", 0, "a2"), ("H", 0)): 1.0})
+    with pytest.raises(ValueError, match="not in register"):
+        element.validate(schema)
+    with pytest.raises(ValueError, match="not in register"):
+        element.apply(state)
+
+
 def test_drop_uniform_register():
     state = _timed_state(
         {(("H", 1, "a1"), ("H",)): 1 / SQ2, (("V", 1, "a2"), ("H",)): 1 / SQ2}
@@ -410,17 +429,18 @@ def test_pauli_register_mismatch():
     ids=["pf-receiver", "tb-receiver", "pf-channel-A"],
 )
 def test_pauli_images_match_the_per_ket_rule(schema, photon):
-    labels = schema.labels()
-    names = tuple(r.name for r in schema.registers(photon))
+    layout = schema.layout(photon)
+    kets = list(layout.kets)
+    names = tuple(r.name for r in layout.registers)
     for string in all_pauli_strings(names):
         op = PauliOp(photon, string)
-        images = [op.ket_image(label, schema) for label in labels]
-        assert images == [op.ket_rule(label, schema) for label in labels]
-        assert sorted(image[0][0] for image in images) == sorted(labels)
+        images = [op.ket_image(ket, layout) for ket in kets]
+        assert images == [op.ket_rule(ket, layout) for ket in kets]
+        assert sorted(image[0][0] for image in images) == sorted(kets)
         assert {image[0][1] for image in images} <= {1.0, -1.0}
-        foreign = op._replace(labels[0], ("D",) + op._part(labels[0])[1:])
+        foreign = ("D",) + kets[0][1:]
         with pytest.raises(ValueError):
-            op.ket_image(foreign, schema)
+            op.ket_image(foreign, layout)
 
 
 def test_pauli_string_validation():
