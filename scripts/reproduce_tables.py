@@ -56,7 +56,7 @@ def main():
         params = TargetParams(a0, b0, ax, bx, ax, bx)
 
     all_pass = True
-    for kind in (ProtocolKind.PF, ProtocolKind.TB):
+    for kind in ProtocolKind:
         report = cli.verify_report(kind, params)
         all_pass &= report["all_pass"]
         print(cli.render("verify", report, "table"))

@@ -29,7 +29,7 @@ from .protocols import (
     run_protocol,
 )
 from .runtime import chunk_generator, encode_outcome, sample_with_loss
-from .states import ProtocolKind, StateVector, TargetParams
+from .states import ProtocolKind, StateVector, TargetParams, receiver_schema
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,8 +54,8 @@ def _state_amplitudes(state: StateVector) -> list[list[float]]:
 
 
 def _params_dict(params: TargetParams) -> dict:
-    keys = ("alpha0", "beta0", "alpha1", "beta1", "alpha2", "beta2")
-    return {k: _round12(v) for k, v in zip(keys, params.as_tuple())}
+    fields = (field for pair in TargetParams.PAIRS.values() for field in pair)
+    return {field: _round12(getattr(params, field)) for field in fields}
 
 
 def random_params(seed: int) -> TargetParams:
@@ -64,7 +64,7 @@ def random_params(seed: int) -> TargetParams:
 
 
 def parse_params(tokens: list[str], protocol: ProtocolKind, seed: int) -> TargetParams:
-    """Four per-protocol values, all six, or the literal ``random``."""
+    """Four values (the receiver registers' pairs, in order), all six, or ``random``."""
     if len(tokens) == 1 and tokens[0].lower() == "random":
         return random_params(seed)
     try:
@@ -74,9 +74,9 @@ def parse_params(tokens: list[str], protocol: ProtocolKind, seed: int) -> Target
     if len(values) == 6:
         return TargetParams(*values)
     if len(values) == 4:
-        if protocol is ProtocolKind.PF:
-            return TargetParams.for_polarization_frequency(*values)
-        return TargetParams.for_polarization_time_bin(*values)
+        registers = receiver_schema(protocol).layout("B").registers
+        fields = [field for reg in registers for field in TargetParams.PAIRS[reg.name]]
+        return TargetParams(**dict(zip(fields, values)))
     raise ValueError(
         f"--params takes 4 values (per-protocol pairs), 6 values, or 'random'; got {len(values)}"
     )
@@ -146,7 +146,7 @@ def sample_report(
 
 def efficiency_report() -> dict:
     protocols = {}
-    for kind in (ProtocolKind.PF, ProtocolKind.TB):
+    for kind in ProtocolKind:
         fraction = protocol_efficiency(kind)
         inputs = protocol_inputs(kind)
         protocols[kind.value] = {

@@ -29,13 +29,12 @@ SUPPORT_TOL = 1e-12
 class DenseElement:
     """An element lowered to an explicit matrix on its own photon.
 
-    ``in_kets`` and ``out_kets`` are the photon's kets (value tuples), ordered
+    ``in_kets`` are the photon's domain kets (value tuples), ordered
     canonically; ``out_schema`` is the full two-photon schema after the element.
     """
 
     matrix: np.ndarray
     in_kets: list[tuple]
-    out_kets: list[tuple]
     out_schema: Schema
 
 
@@ -65,7 +64,7 @@ def element_to_dense(element: Element, schema: Schema) -> DenseElement:
     for j, ket in enumerate(in_kets):
         for image, coeff in element.ket_image(ket, layout):
             matrix[out_layout.index[image], j] += coeff
-    return DenseElement(matrix, in_kets, list(out_layout.kets), out_schema)
+    return DenseElement(matrix, in_kets, out_schema)
 
 
 def unitarity_defect(element: Element, schema: Schema) -> float:

@@ -221,7 +221,8 @@ class WavelengthRouter(Element):
         missing = [f for f in freq.values if f not in self.routing]
         if missing:
             raise ValueError(f"routing does not cover frequencies {missing}")
-        for target in self.routing.values():
+        for f, target in self.routing.items():
+            freq.index(f)
             if target not in self.registry:
                 raise ValueError(f"routed path {target!r} not in declared registry")
 
@@ -245,11 +246,14 @@ class FrequencyEraser(Element):
     correlation: Mapping[str, str]
 
     def validate(self, schema: Schema) -> None:
-        schema.register(self.photon, "freq")
+        freq = schema.register(self.photon, "freq")
         path = schema.register(self.photon, "path")
         missing = [p for p in path.values if p not in self.correlation]
         if missing:
             raise ValueError(f"correlation does not cover paths {missing}")
+        for p, f in self.correlation.items():
+            path.index(p)
+            freq.index(f)
 
     def output_schema(self, schema: Schema) -> Schema:
         return schema.without_register(self.photon, "freq")
@@ -287,20 +291,21 @@ class PolarizingRouter(Element):
             missing = [p for p in pol.values if p not in self.routing]
             if missing:
                 raise ValueError(f"entry routing does not cover polarizations {missing}")
-            for target in self.routing.values():
+            for p, target in self.routing.items():
+                pol.index(p)
                 if target not in self.registry:
                     raise ValueError(f"routed path {target!r} not in declared registry")
             return
         path = schema.register(self.photon, "path")
         if len(self._images) != len(self.routing):
             raise ValueError("routing sends two inputs of one polarization to the same path")
-        in_paths = {key[1] for key in self.routing}
-        for p in in_paths:
+        for pol_value, p in self.routing:
+            pol.index(pol_value)
             path.index(p)
-            for pol_value in pol.values:
-                if (pol_value, p) not in self.routing:
+            for other in pol.values:
+                if (other, p) not in self.routing:
                     raise ValueError(
-                        f"routing table misses ({pol_value!r}, {p!r}); both polarizations "
+                        f"routing table misses ({other!r}, {p!r}); both polarizations "
                         "must be covered for every input path"
                     )
         for target in self.routing.values():

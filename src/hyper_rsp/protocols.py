@@ -17,7 +17,8 @@ Polarization-time-bin circuit (eight detectors, pol x {kp1..kp4}):
     (k1,k4)→(kp1,kp4) and (k2,k3)→(kp2,kp3).
 
 The receiver applies a tabulated two-factor Pauli correction keyed on the
-announced outcome; `derive_correction` re-derives that table by exhaustive
+announced outcome; each protocol's table is also its detector registry, in
+message-code order.  `derive_correction` re-derives that table by exhaustive
 search over all 16 candidates and is the oracle the hard-coded map is tested
 against.
 """
@@ -60,18 +61,9 @@ FIDELITY_TOL = 1e-10
 PF_PATHS = ("a1", "a2")
 TB_PATHS = ("a1", "a2", "k1", "k2", "k3", "k4", "kp1", "kp2", "kp3", "kp4")
 
-PF_DETECTOR_PATHS = ("a1", "a2")
-TB_DETECTOR_PATHS = ("kp1", "kp2", "kp3", "kp4")
-
 
 class CorrectionNotFoundError(RuntimeError):
     """No Pauli correction reaches the target: a table/convention inconsistency."""
-
-
-def outcome_registry(kind: ProtocolKind) -> tuple[Outcome, ...]:
-    """All detector outcomes, in classical-message code order."""
-    paths = PF_DETECTOR_PATHS if kind is ProtocolKind.PF else TB_DETECTOR_PATHS
-    return tuple(Outcome(pol, path) for pol in ("H", "V") for path in paths)
 
 
 def rotation_angle(alpha: float, beta: float) -> float:
@@ -134,33 +126,43 @@ def evolve(kind: ProtocolKind, params: TargetParams) -> StateVector:
     return state
 
 
-# Correction tables keyed by (polarization, detector path).
-_PF_CORRECTIONS = {
-    ("H", "a1"): (("pol", "sz"), ("freq", "sz")),
-    ("H", "a2"): (("pol", "sz"), ("freq", "sx")),
-    ("V", "a1"): (("pol", "sx"), ("freq", "sz")),
-    ("V", "a2"): (("pol", "sx"), ("freq", "sx")),
+def _corrections(table: dict) -> dict[Outcome, PauliString]:
+    return {Outcome(*key): PauliString(factors) for key, factors in table.items()}
+
+
+#: Each protocol's correction table, keyed by (polarization, detector path).  Its
+#: keys are the detector registry, in classical-message code order.
+_CORRECTIONS = {
+    ProtocolKind.PF: _corrections({
+        ("H", "a1"): (("pol", "sz"), ("freq", "sz")),
+        ("H", "a2"): (("pol", "sz"), ("freq", "sx")),
+        ("V", "a1"): (("pol", "sx"), ("freq", "sz")),
+        ("V", "a2"): (("pol", "sx"), ("freq", "sx")),
+    }),
+    ProtocolKind.TB: _corrections({
+        ("H", "kp1"): (("pol", "sx"), ("time", "sx")),
+        ("H", "kp2"): (("pol", "sz"), ("time", "I")),
+        ("H", "kp3"): (("pol", "sz"), ("time", "sz")),
+        ("H", "kp4"): (("pol", "sx"), ("time", "isy")),
+        ("V", "kp1"): (("pol", "sz"), ("time", "sx")),
+        ("V", "kp2"): (("pol", "sx"), ("time", "I")),
+        ("V", "kp3"): (("pol", "sx"), ("time", "sz")),
+        ("V", "kp4"): (("pol", "sz"), ("time", "isy")),
+    }),
 }
 
-_TB_CORRECTIONS = {
-    ("H", "kp1"): (("pol", "sx"), ("time", "sx")),
-    ("H", "kp2"): (("pol", "sz"), ("time", "I")),
-    ("H", "kp3"): (("pol", "sz"), ("time", "sz")),
-    ("H", "kp4"): (("pol", "sx"), ("time", "isy")),
-    ("V", "kp1"): (("pol", "sz"), ("time", "sx")),
-    ("V", "kp2"): (("pol", "sx"), ("time", "I")),
-    ("V", "kp3"): (("pol", "sx"), ("time", "sz")),
-    ("V", "kp4"): (("pol", "sz"), ("time", "isy")),
-}
+
+def outcome_registry(kind: ProtocolKind) -> tuple[Outcome, ...]:
+    """All detector outcomes, in classical-message code order."""
+    return tuple(_CORRECTIONS[kind])
 
 
 def correction_table(kind: ProtocolKind, outcome: Outcome) -> PauliString:
     """The receiver's tabulated correction for one announced outcome."""
-    table = _PF_CORRECTIONS if kind is ProtocolKind.PF else _TB_CORRECTIONS
-    key = (outcome.polarization, outcome.path)
-    if key not in table:
-        raise UnknownDetectorError(f"no correction tabulated for outcome {outcome}")
-    return PauliString(table[key])
+    try:
+        return _CORRECTIONS[kind][outcome]
+    except KeyError:
+        raise UnknownDetectorError(f"no correction tabulated for outcome {outcome}") from None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -319,9 +319,10 @@ class StateVector:
 class TargetParams:
     """The three real coefficient pairs defining the state to be prepared.
 
-    (alpha0, beta0) weights H/V polarization, (alpha1, beta1) the two frequency
-    modes, and (alpha2, beta2) the early/late time bins.  Each pair must sit on
-    the unit circle within ``PARAM_TOL``; all six values lie in [-1, 1].
+    Each pair weights the two values of the register named for it in ``PAIRS``:
+    (alpha0, beta0) H/V polarization, (alpha1, beta1) the two frequency modes,
+    and (alpha2, beta2) the early/late time bins.  Each pair must sit on the
+    unit circle within ``PARAM_TOL``; all six values lie in [-1, 1].
     """
 
     alpha0: float
@@ -331,8 +332,16 @@ class TargetParams:
     alpha2: float = 1.0
     beta2: float = 0.0
 
+    #: register name -> the fields of the pair weighting its two values
+    PAIRS = MappingProxyType({
+        "pol": ("alpha0", "beta0"),
+        "freq": ("alpha1", "beta1"),
+        "time": ("alpha2", "beta2"),
+    })
+
     def __post_init__(self) -> None:
-        for name, alpha, beta in self._pairs():
+        for name in self.PAIRS:
+            alpha, beta = self.pair(name)
             for v in (alpha, beta):
                 if not -1.0 <= v <= 1.0:
                     raise ValueError(f"{name} coefficient {v!r} outside [-1, 1]")
@@ -342,20 +351,10 @@ class TargetParams:
                     f"{name} pair ({alpha}, {beta}) not normalized: α²+β² = {r!r}"
                 )
 
-    def _pairs(self):
-        return (
-            ("polarization", self.alpha0, self.beta0),
-            ("frequency", self.alpha1, self.beta1),
-            ("time-bin", self.alpha2, self.beta2),
-        )
-
-    @classmethod
-    def for_polarization_frequency(cls, a0, b0, a1, b1) -> "TargetParams":
-        return cls(alpha0=a0, beta0=b0, alpha1=a1, beta1=b1)
-
-    @classmethod
-    def for_polarization_time_bin(cls, a0, b0, a2, b2) -> "TargetParams":
-        return cls(alpha0=a0, beta0=b0, alpha2=a2, beta2=b2)
+    def pair(self, register: str) -> tuple[float, float]:
+        """The (alpha, beta) pair weighting the named register's two values."""
+        alpha, beta = self.PAIRS[register]
+        return getattr(self, alpha), getattr(self, beta)
 
     @classmethod
     def from_angles(cls, theta_p: float, theta_f: float, theta_t: float) -> "TargetParams":
@@ -375,11 +374,11 @@ class TargetParams:
         angles = rng.uniform(0.0, 2.0 * math.pi, size=3)
         return cls.from_angles(*angles)
 
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.alpha0, self.beta0, self.alpha1, self.beta1, self.alpha2, self.beta2)
 
-
+@cache
 def hyper_bell_schema(kind: ProtocolKind) -> Schema:
+    """Each protocol's registers, declared once: polarization and its second
+    degree of freedom on both photons; photon A's time bins have delay headroom."""
     if kind is ProtocolKind.PF:
         return Schema(
             (pol_register(), freq_register()),
@@ -393,37 +392,27 @@ def hyper_bell_schema(kind: ProtocolKind) -> Schema:
 
 def receiver_schema(kind: ProtocolKind) -> Schema:
     """Schema of the receiver's photon alone (photon A already measured away)."""
-    if kind is ProtocolKind.PF:
-        return Schema((), (pol_register(), freq_register()))
-    return Schema((), (pol_register(), time_register()))
+    return Schema((), hyper_bell_schema(kind).photon_b)
 
 
 def make_hyper_bell(kind: ProtocolKind) -> StateVector:
     """The shared channel ½(|HH⟩+|VV⟩)(|ω₁ω₁⟩+|ω₂ω₂⟩), or with (|ee⟩+|ll⟩).
 
-    Four nonzero amplitudes, each ½, perfectly correlated in both registers.
+    Each of photon B's four canonical kets paired with itself, amplitude ½, so
+    both registers are perfectly correlated.
     """
     schema = hyper_bell_schema(kind)
-    second = FREQUENCY if kind is ProtocolKind.PF else TIME_BINS
-    amps = {((p, x), (p, x)): 0.5 for p in POLARIZATION for x in second}
-    return StateVector.build(schema, amps)
+    return StateVector.build(schema, {(ket, ket): 0.5 for ket in schema.layout("B").kets})
 
 
 def make_target(params: TargetParams, kind: ProtocolKind) -> StateVector:
-    """The receiver-side product state (α₀|H⟩+β₀|V⟩)(α₁|ω₁⟩+β₁|ω₂⟩) or its time-bin twin."""
+    """The receiver-side product state (α₀|H⟩+β₀|V⟩)(α₁|ω₁⟩+β₁|ω₂⟩) or its time-bin
+    twin: each register's values weighted by the pair named for that register."""
     schema = receiver_schema(kind)
-    if kind is ProtocolKind.PF:
-        second_pair = (params.alpha1, params.beta1)
-        second_values = FREQUENCY
-    else:
-        second_pair = (params.alpha2, params.beta2)
-        second_values = TIME_BINS
-    pol_pair = (params.alpha0, params.beta0)
-    amps = {
-        ((), (p, x)): pol_pair[i] * second_pair[j]
-        for i, p in enumerate(POLARIZATION)
-        for j, x in enumerate(second_values)
-    }
+    layout = schema.layout("B")
+    # The kets are the product of the registers' values, in the same order.
+    weights = product(*(params.pair(reg.name) for reg in layout.registers))
+    amps = {((), ket): math.prod(w) for ket, w in zip(layout.kets, weights, strict=True)}
     return StateVector.build(schema, amps)
 
 

@@ -196,6 +196,21 @@ def test_eraser_rejects_broken_correlation():
         FrequencyEraser("A", {"a1": "w2", "a2": "w1"}).apply(_routed_channel())
 
 
+@pytest.mark.parametrize(
+    "correlation",
+    [{"a1": "w9", "a2": "w2"}, {"a1": "w1", "a2": "w2", "a7": "w1"}],
+    ids=["frequency", "path"],
+)
+def test_eraser_rejects_correlation_outside_the_registers(correlation):
+    """An unknown frequency would drop every ket on its path from the domain."""
+    state = _routed_channel()
+    eraser = FrequencyEraser("A", correlation)
+    with pytest.raises(ValueError, match="not in register"):
+        eraser.validate(state.schema)
+    with pytest.raises(ValueError, match="not in register"):
+        eraser.apply(state)
+
+
 # ---------------------------------------------------------------------------
 # polarizing router
 
@@ -211,6 +226,32 @@ def test_pbs_routing_table_must_cover_both_polarizations():
     state = two_path_state({(("H", "a1"), ("H",)): 1.0})
     with pytest.raises(ValueError):
         PolarizingRouter("A", {("H", "a1"): "a2"}).apply(state)
+
+
+@pytest.mark.parametrize(
+    "router, state",
+    [
+        (
+            WavelengthRouter("A", {"w1": "a1", "w2": "a2", "w7": "a1"}, ("a1", "a2")),
+            make_hyper_bell(ProtocolKind.PF),
+        ),
+        (
+            PolarizingRouter("A", {"H": "a2", "V": "a1", "X": "a1"}, registry=("a1", "a2")),
+            make_hyper_bell(ProtocolKind.TB),
+        ),
+        (
+            PolarizingRouter("A", {("H", "a1"): "a2", ("V", "a1"): "a1", ("X", "a1"): "a1"}),
+            two_path_state({(("H", "a1"), ("H",)): 1.0}),
+        ),
+    ],
+    ids=["wavelength", "pbs-entry", "pbs-in-path"],
+)
+def test_routers_reject_keys_outside_the_registers(router, state):
+    """A routing key no ket can carry would be ignored, silently."""
+    with pytest.raises(ValueError, match="not in register"):
+        router.validate(state.schema)
+    with pytest.raises(ValueError, match="not in register"):
+        router.apply(state)
 
 
 def test_pbs_pure_relabel():

@@ -61,6 +61,23 @@ def test_bad_count_usage_error(script, args, message):
     assert "Traceback" not in result.stderr
 
 
+def test_reproduce_tables_frequencies_follow_the_registry_within_three_sigma():
+    result = run_script("reproduce_tables.py", "--params", "0.6", "0.8", "0.28", "0.96",
+                        "--trials", "20000", "--seed", "3")
+    assert result.returncode == 0, result.stderr
+    blocks = re.findall(r"expect (\S+) each, 3σ = (\S+)\):\n((?:.+\n)+)", result.stdout)
+    registries = (  # the message-code order, pinned: codes are on the wire
+        ["H@a1", "H@a2", "V@a1", "V@a2"],
+        [f"{pol}@kp{i}" for pol in "HV" for i in range(1, 5)],
+    )
+    assert len(blocks) == len(registries)
+    for registry, (expected, three_sigma, lines) in zip(registries, blocks):
+        rows = [line.split() for line in lines.splitlines()]
+        assert [outcome for outcome, _ in rows] == registry
+        for _, frequency in rows:
+            assert abs(float(frequency) - float(expected)) <= float(three_sigma)
+
+
 def test_reproduce_tables_accepts_negative_exponent_params():
     result = run_script("reproduce_tables.py", "--params", "-3.2e-05", "0.999999999488", "1", "0")
     assert result.returncode == 0, result.stderr

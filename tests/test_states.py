@@ -63,7 +63,7 @@ def test_target_basis_case():
 
 
 def test_target_forced_superposition():
-    params = TargetParams.for_polarization_time_bin(1 / SQ2, 1 / SQ2, 0.0, 1.0)
+    params = TargetParams(1 / SQ2, 1 / SQ2, alpha2=0.0, beta2=1.0)
     target = make_target(params, ProtocolKind.TB)
     assert target.amplitude(((), ("H", 1))) == pytest.approx(1 / SQ2)
     assert target.amplitude(((), ("V", 1))) == pytest.approx(1 / SQ2)
