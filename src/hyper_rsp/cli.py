@@ -264,12 +264,16 @@ def render(command: str, report: dict, fmt: str) -> str:
     return _TABLES[command](report)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _emit(parser: argparse.ArgumentParser, text: str, output: str | None) -> None:
+    """Write to ``output``, or stdout; a file that cannot be written is a usage error."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write --output {output}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"--eta-d must lie in [0, 1], got {args.eta_d}")
             report = sample_report(kind, params, args.eta_d, args.trials, args.seed)
 
-    _emit(render(args.command, report, args.fmt), args.output)
+    _emit(parser, render(args.command, report, args.fmt), args.output)
     return EXIT_OK if report.get("all_pass", True) else EXIT_VERIFY_FAILED
 
 

@@ -55,8 +55,8 @@ def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
 
 def element_to_dense(element: Element, schema: Schema) -> DenseElement:
     """Lower one element to its matrix over its own photon's (domain) kets."""
-    element.validate(schema)
     layout = schema.layout(element.photon)
+    element.validate(layout)
     out_schema = element.output_schema(schema)
     out_layout = out_schema.layout(element.photon)
     in_kets = element.domain(layout)

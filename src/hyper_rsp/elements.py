@@ -1,11 +1,12 @@
 """Linear-optical elements as verified rewrites on labeled state vectors.
 
-Every element is a small frozen dataclass acting on one photon.  Its action is
-declared per ket of that photon through :meth:`Element.ket_image`, which is
-handed only the photon's value tuple and its :class:`~hyper_rsp.states.Layout`;
-application splits each two-photon label once, extends the map linearly over
-the state's support, and ends with pruning and a norm check.  A rule never
-sees the other photon, so every element is M ⊗ I (or I ⊗ M) by construction.
+Every element is a small frozen dataclass acting on one photon, and each of its
+hooks is handed only that photon's :class:`~hyper_rsp.states.Layout`: ``validate``
+checks the registers, ``output_registers`` names them after the element, and
+``ket_image`` declares the action per ket (the photon's value tuple).
+Application splits each two-photon label once, extends the map linearly over the
+state's support, and ends with pruning and a norm check.  A hook never sees the
+other photon, so every element is M ⊗ I (or I ⊗ M) by construction.
 The same ket images feed the dense matrix route in :mod:`hyper_rsp.dense`,
 which independently checks unitarity and matrix-vector equivalence.
 
@@ -37,6 +38,7 @@ from typing import Mapping
 from .states import (
     Label,
     Layout,
+    Register,
     Schema,
     SchemaMismatchError,
     StateVector,
@@ -80,6 +82,9 @@ class PauliString:
     def __post_init__(self) -> None:
         if len(self.factors) != 2:
             raise ValueError("a correction carries exactly two factors")
+        names = [register for register, _ in self.factors]
+        if len(set(names)) != len(names):
+            raise ValueError(f"a correction acts on each register once, got {names}")
         for register, axis in self.factors:
             if axis not in PAULI_AXES:
                 raise ValueError(f"unknown Pauli axis {axis!r} on register {register!r}")
@@ -100,8 +105,10 @@ class PauliString:
 class Element:
     """Base class: a linear map declared ket-by-ket on one photon.
 
-    :meth:`admits` and :meth:`ket_image` receive only the acting photon's value
-    tuple (its ket) and that photon's :class:`Layout`; :meth:`apply` splits each
+    Every hook receives only the acting photon's :class:`Layout`, and
+    :meth:`admits` and :meth:`ket_image` also that photon's value tuple (its
+    ket).  :meth:`apply` and :meth:`output_schema`, the only methods that see
+    the two-photon :class:`Schema`, are derived: :meth:`apply` splits each
     two-photon label once and reassembles it around the image.  :meth:`admits`
     is the element's one legality rule: the sparse :meth:`apply` rejects any
     support ket it refuses, and the dense lowering builds its matrix over
@@ -111,11 +118,12 @@ class Element:
     photon: str
 
     # -- declaration hooks -------------------------------------------------
-    def validate(self, schema: Schema) -> None:
-        """Schema-level preconditions; raise if the element cannot apply."""
+    def validate(self, layout: Layout) -> None:
+        """Register-level preconditions; raise if the element cannot apply."""
 
-    def output_schema(self, schema: Schema) -> Schema:
-        return schema
+    def output_registers(self, layout: Layout) -> tuple[Register, ...]:
+        """The photon's registers after the element (default: unchanged)."""
+        return layout.registers
 
     def admits(self, ket: tuple, layout: Layout) -> bool:
         """Whether the map is defined on ``ket`` (default: every ket)."""
@@ -129,11 +137,22 @@ class Element:
         """The photon's canonical kets on which the map is defined."""
         return [ket for ket in layout.kets if self.admits(ket, layout)]
 
+    def output_schema(self, schema: Schema) -> Schema:
+        """``schema`` itself, or the interned schema with the photon's registers
+        replaced by :meth:`output_registers`."""
+        layout = schema.layout(self.photon)
+        registers = self.output_registers(layout)
+        if registers is layout.registers:
+            return schema
+        if self.photon == "A":
+            return Schema(registers, schema.photon_b)
+        return Schema(schema.photon_a, registers)
+
     def apply(self, state: StateVector) -> StateVector:
         schema = state.schema
-        self.validate(schema)
-        out_schema = self.output_schema(schema)
         layout = schema.layout(self.photon)
+        self.validate(layout)
+        out_schema = self.output_schema(schema)
         on_a = self.photon == "A"
         acc: dict[Label, complex] = {}
         for label, amp in state.items():
@@ -154,6 +173,11 @@ def _with(ket: tuple, position: int, value) -> tuple:
     return ket[:position] + (value,) + ket[position + 1 :]
 
 
+def _without(entries: tuple, position: int) -> tuple:
+    """``entries`` (a ket or a register tuple) without the one at ``position``."""
+    return entries[:position] + entries[position + 1 :]
+
+
 @dataclass(frozen=True)
 class PolarizationRotation(Element):
     """Wave plate rotating H/V by ``theta``, optionally restricted to paths."""
@@ -161,10 +185,10 @@ class PolarizationRotation(Element):
     theta: float
     paths: tuple[str, ...] | None = None
 
-    def validate(self, schema: Schema) -> None:
-        schema.register(self.photon, "pol")
+    def validate(self, layout: Layout) -> None:
+        layout.register("pol")
         if self.paths is not None:
-            reg = schema.register(self.photon, "path")
+            reg = layout.register("path")
             for p in self.paths:
                 reg.index(p)
 
@@ -185,10 +209,10 @@ class UnbalancedSplitter(Element):
     path_pair: tuple[str, str]
     phi: float
 
-    def validate(self, schema: Schema) -> None:
+    def validate(self, layout: Layout) -> None:
         if self.path_pair[0] == self.path_pair[1]:
             raise ValueError(f"splitter needs two distinct paths, got {self.path_pair}")
-        reg = schema.register(self.photon, "path")
+        reg = layout.register("path")
         for p in self.path_pair:
             reg.index(p)
 
@@ -214,9 +238,9 @@ class WavelengthRouter(Element):
     routing: Mapping[str, str]
     registry: tuple[str, ...]
 
-    def validate(self, schema: Schema) -> None:
-        freq = schema.register(self.photon, "freq")
-        if schema.has_register(self.photon, "path"):
+    def validate(self, layout: Layout) -> None:
+        freq = layout.register("freq")
+        if "path" in layout.positions:
             raise SchemaMismatchError("path register already present before routing")
         missing = [f for f in freq.values if f not in self.routing]
         if missing:
@@ -226,8 +250,8 @@ class WavelengthRouter(Element):
             if target not in self.registry:
                 raise ValueError(f"routed path {target!r} not in declared registry")
 
-    def output_schema(self, schema: Schema) -> Schema:
-        return schema.with_register(self.photon, path_register(self.registry))
+    def output_registers(self, layout):
+        return layout.registers + (path_register(self.registry),)
 
     def ket_image(self, ket, layout):
         return [(ket + (self.routing[ket[layout.positions["freq"]]],), 1.0 + 0j)]
@@ -245,9 +269,9 @@ class FrequencyEraser(Element):
 
     correlation: Mapping[str, str]
 
-    def validate(self, schema: Schema) -> None:
-        freq = schema.register(self.photon, "freq")
-        path = schema.register(self.photon, "path")
+    def validate(self, layout: Layout) -> None:
+        freq = layout.register("freq")
+        path = layout.register("path")
         missing = [p for p in path.values if p not in self.correlation]
         if missing:
             raise ValueError(f"correlation does not cover paths {missing}")
@@ -255,16 +279,15 @@ class FrequencyEraser(Element):
             path.index(p)
             freq.index(f)
 
-    def output_schema(self, schema: Schema) -> Schema:
-        return schema.without_register(self.photon, "freq")
+    def output_registers(self, layout):
+        return _without(layout.registers, layout.position("freq"))
 
     def admits(self, ket, layout):
         path = ket[layout.positions["path"]]
         return ket[layout.positions["freq"]] == self.correlation[path]
 
     def ket_image(self, ket, layout):
-        i_freq = layout.positions["freq"]
-        return [(ket[:i_freq] + ket[i_freq + 1 :], 1.0 + 0j)]
+        return [(_without(ket, layout.positions["freq"]), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -283,10 +306,10 @@ class PolarizingRouter(Element):
     def _entry(self) -> bool:
         return self.registry is not None
 
-    def validate(self, schema: Schema) -> None:
-        pol = schema.register(self.photon, "pol")
+    def validate(self, layout: Layout) -> None:
+        pol = layout.register("pol")
         if self._entry():
-            if schema.has_register(self.photon, "path"):
+            if "path" in layout.positions:
                 raise SchemaMismatchError("path register already present before routing")
             missing = [p for p in pol.values if p not in self.routing]
             if missing:
@@ -296,7 +319,7 @@ class PolarizingRouter(Element):
                 if target not in self.registry:
                     raise ValueError(f"routed path {target!r} not in declared registry")
             return
-        path = schema.register(self.photon, "path")
+        path = layout.register("path")
         if len(self._images) != len(self.routing):
             raise ValueError("routing sends two inputs of one polarization to the same path")
         for pol_value, p in self.routing:
@@ -311,10 +334,10 @@ class PolarizingRouter(Element):
         for target in self.routing.values():
             path.index(target)
 
-    def output_schema(self, schema: Schema) -> Schema:
+    def output_registers(self, layout):
         if self._entry():
-            return schema.with_register(self.photon, path_register(self.registry))
-        return schema
+            return layout.registers + (path_register(self.registry),)
+        return layout.registers
 
     def admits(self, ket, layout):
         """An unused input port, one a routed input is sent to, must stay empty."""
@@ -345,10 +368,10 @@ class PockelsCell(Element):
     paths: tuple[str, ...]
     time_value: int
 
-    def validate(self, schema: Schema) -> None:
-        schema.register(self.photon, "pol")
-        schema.register(self.photon, "time").index(self.time_value)
-        path = schema.register(self.photon, "path")
+    def validate(self, layout: Layout) -> None:
+        layout.register("pol")
+        layout.register("time").index(self.time_value)
+        path = layout.register("path")
         for p in self.paths:
             path.index(p)
 
@@ -369,10 +392,10 @@ class LongArmDelay(Element):
     path: str
     long_arm_polarization: str
 
-    def validate(self, schema: Schema) -> None:
-        schema.register(self.photon, "pol").index(self.long_arm_polarization)
-        schema.register(self.photon, "time")
-        schema.register(self.photon, "path").index(self.path)
+    def validate(self, layout: Layout) -> None:
+        layout.register("pol").index(self.long_arm_polarization)
+        layout.register("time")
+        layout.register("path").index(self.path)
 
     def _matches(self, ket: tuple, layout: Layout) -> bool:
         return (
@@ -405,18 +428,17 @@ class DropUniformRegister(Element):
     register: str
     expected_value: object
 
-    def validate(self, schema: Schema) -> None:
-        schema.register(self.photon, self.register).index(self.expected_value)
+    def validate(self, layout: Layout) -> None:
+        layout.register(self.register).index(self.expected_value)
 
-    def output_schema(self, schema: Schema) -> Schema:
-        return schema.without_register(self.photon, self.register)
+    def output_registers(self, layout):
+        return _without(layout.registers, layout.position(self.register))
 
     def admits(self, ket, layout):
         return ket[layout.positions[self.register]] == self.expected_value
 
     def ket_image(self, ket, layout):
-        position = layout.positions[self.register]
-        return [(ket[:position] + ket[position + 1 :], 1.0 + 0j)]
+        return [(_without(ket, layout.positions[self.register]), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -425,9 +447,9 @@ class HalfWavePlate(Element):
 
     paths: tuple[str, ...]
 
-    def validate(self, schema: Schema) -> None:
-        schema.register(self.photon, "pol")
-        path = schema.register(self.photon, "path")
+    def validate(self, layout: Layout) -> None:
+        layout.register("pol")
+        path = layout.register("path")
         for p in self.paths:
             path.index(p)
 
@@ -450,10 +472,10 @@ class BalancedSplitter(Element):
     inputs: tuple[str, str]
     outputs: tuple[str, str]
 
-    def validate(self, schema: Schema) -> None:
+    def validate(self, layout: Layout) -> None:
         if len(set(self.inputs)) != 2 or len(set(self.outputs)) != 2:
             raise ValueError(f"splitter ports must be distinct: {self.inputs} -> {self.outputs}")
-        path = schema.register(self.photon, "path")
+        path = layout.register("path")
         for p in self.inputs + self.outputs:
             path.index(p)
 
@@ -481,9 +503,9 @@ class PauliOp(Element):
 
     string: PauliString
 
-    def validate(self, schema: Schema) -> None:
+    def validate(self, layout: Layout) -> None:
         for register, _ in self.string.factors:
-            reg = schema.register(self.photon, register)
+            reg = layout.register(register)
             if len(reg.values) != 2:
                 raise SchemaMismatchError(
                     f"Pauli factor needs a two-valued register, {register!r} has "

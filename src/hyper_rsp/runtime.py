@@ -123,8 +123,6 @@ class BranchSampler:
     """Exact branch table of one protocol, ready for repeated outcome draws."""
 
     def __init__(self, kind: ProtocolKind, params: TargetParams):
-        self.kind = kind
-        self.params = params
         self.branches: tuple[BranchReport, ...] = run_protocol(kind, params)
         self._cumulative = np.cumsum([branch.probability for branch in self.branches])
 

@@ -105,7 +105,7 @@ class Layout:
     """One photon's register layout: its registers, their positions by name, and
     its canonical kets (value tuples, lexicographic) with their index.
 
-    Built once per interned :class:`Schema` and photon; every per-ket rule reads
+    Built once per interned :class:`Schema` and photon; every element hook reads
     its registers here.
     """
 
@@ -130,6 +130,9 @@ class Layout:
             return self.positions[name]
         except KeyError:
             raise SchemaMismatchError(f"photon {self.photon} has no {name!r} register") from None
+
+    def register(self, name: str) -> Register:
+        return self.registers[self.position(name)]
 
 
 #: The one Schema instance of each register layout; see Schema.__new__.
@@ -183,38 +186,6 @@ class Schema:
             return self._layouts[photon]
         except KeyError:
             raise ValueError(f"photon must be 'A' or 'B', got {photon!r}") from None
-
-    def registers(self, photon: str) -> tuple[Register, ...]:
-        return self.layout(photon).registers
-
-    def has_register(self, photon: str, name: str) -> bool:
-        return name in self.layout(photon).positions
-
-    def register(self, photon: str, name: str) -> Register:
-        layout = self.layout(photon)
-        return layout.registers[layout.position(name)]
-
-    def position(self, photon: str, name: str) -> int:
-        return self.layout(photon).position(name)
-
-    def with_register(self, photon: str, register: Register) -> "Schema":
-        """Append a register to one photon (explicit schema transform)."""
-        if self.has_register(photon, register.name):
-            raise SchemaMismatchError(
-                f"photon {photon} already has a {register.name!r} register"
-            )
-        if photon == "A":
-            return Schema(self.photon_a + (register,), self.photon_b)
-        return Schema(self.photon_a, self.photon_b + (register,))
-
-    def without_register(self, photon: str, name: str) -> "Schema":
-        """Drop a register from one photon (explicit schema transform)."""
-        pos = self.position(photon, name)
-        regs = self.registers(photon)
-        trimmed = regs[:pos] + regs[pos + 1 :]
-        if photon == "A":
-            return Schema(trimmed, self.photon_b)
-        return Schema(self.photon_a, trimmed)
 
     def dimension(self) -> int:
         return len(self._layouts["A"].kets) * len(self._layouts["B"].kets)
@@ -286,6 +257,8 @@ class StateVector:
             schema.validate_label(label)
             pruned[label] = amp
         norm_sq = sum(abs(a) ** 2 for a in pruned.values())
+        if not math.isfinite(norm_sq):
+            raise ValueError(f"state norm² = {norm_sq!r} is not finite")
         if normalize:
             if norm_sq == 0.0:
                 raise ValueError("cannot normalize a zero state")
@@ -435,17 +408,16 @@ def project_photon_a(
     reported as (0.0, None) rather than an error, since degenerate parameters
     legitimately empty branches.
     """
-    names = sorted(r.name for r in state.schema.photon_a)
+    layout = state.schema.layout("A")
+    names = sorted(layout.positions)
     if names != ["path", "pol"]:
         raise SchemaMismatchError(
             f"projective measurement needs photon A in (pol, path) registers, got {names}"
         )
-    pol_reg = state.schema.register("A", "pol")
-    path_reg = state.schema.register("A", "path")
+    pol_reg, path_reg = layout.register("pol"), layout.register("path")
     if outcome.polarization not in pol_reg.values or outcome.path not in path_reg.values:
         raise UnknownDetectorError(f"no detector for outcome {outcome}")
-    i_pol = state.schema.position("A", "pol")
-    i_path = state.schema.position("A", "path")
+    i_pol, i_path = layout.positions["pol"], layout.positions["path"]
 
     residual: dict[Label, complex] = {}
     for (a_values, b_values), amp in state.items():

@@ -171,6 +171,13 @@ def test_sample_zero_trials_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_unwritable_output_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["efficiency", "--output", str(tmp_path / "missing" / "x.json")])
+    assert excinfo.value.code == 2
+    assert "cannot write --output" in capsys.readouterr().err
+
+
 def test_sample_bad_eta_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["sample", "--protocol", "pf", "--params", "1", "0", "1", "0",

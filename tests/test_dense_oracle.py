@@ -201,8 +201,8 @@ def test_both_routes_reject_an_off_domain_ket(element, schema, ket):
 def full_space_lowering(element, schema):
     """Reference: the element's matrix over the whole two-photon (domain) basis,
     assembled label by label from the per-ket rule."""
-    element.validate(schema)
     layout = schema.layout(element.photon)
+    element.validate(layout)
     on_a = element.photon == "A"
     in_labels = [
         label for label in schema.labels() if element.admits(own_ket(element, label), layout)

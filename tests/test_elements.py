@@ -172,7 +172,7 @@ def _routed_channel():
 
 def test_eraser_drops_frequency_register():
     erased = FrequencyEraser("A", {"a1": "w1", "a2": "w2"}).apply(_routed_channel())
-    assert not erased.schema.has_register("A", "freq")
+    assert "freq" not in erased.schema.layout("A").positions
     assert erased.amplitude((("H", "a1"), ("H", "w1"))) == pytest.approx(0.5)
     assert erased.amplitude((("H", "a2"), ("H", "w2"))) == pytest.approx(0.5)
 
@@ -206,7 +206,7 @@ def test_eraser_rejects_correlation_outside_the_registers(correlation):
     state = _routed_channel()
     eraser = FrequencyEraser("A", correlation)
     with pytest.raises(ValueError, match="not in register"):
-        eraser.validate(state.schema)
+        eraser.validate(state.schema.layout("A"))
     with pytest.raises(ValueError, match="not in register"):
         eraser.apply(state)
 
@@ -249,7 +249,7 @@ def test_pbs_routing_table_must_cover_both_polarizations():
 def test_routers_reject_keys_outside_the_registers(router, state):
     """A routing key no ket can carry would be ignored, silently."""
     with pytest.raises(ValueError, match="not in register"):
-        router.validate(state.schema)
+        router.validate(state.schema.layout("A"))
     with pytest.raises(ValueError, match="not in register"):
         router.apply(state)
 
@@ -335,7 +335,7 @@ def test_validate_rejects_values_outside_the_registers(element):
     )
     state = StateVector.build(schema, {(("V", 0, "a2"), ("H", 0)): 1.0})
     with pytest.raises(ValueError, match="not in register"):
-        element.validate(schema)
+        element.validate(schema.layout("A"))
     with pytest.raises(ValueError, match="not in register"):
         element.apply(state)
 
@@ -345,7 +345,7 @@ def test_drop_uniform_register():
         {(("H", 1, "a1"), ("H",)): 1 / SQ2, (("V", 1, "a2"), ("H",)): 1 / SQ2}
     )
     dropped = DropUniformRegister("A", "time", expected_value=1).apply(state)
-    assert not dropped.schema.has_register("A", "time")
+    assert "time" not in dropped.schema.layout("A").positions
     assert dropped.amplitude((("H", "a1"), ("H",))) == pytest.approx(1 / SQ2)
 
 
@@ -489,6 +489,8 @@ def test_pauli_string_validation():
         PauliString((("pol", "sz"),))
     with pytest.raises(ValueError):
         PauliString((("pol", "sz"), ("freq", "sy")))
+    with pytest.raises(ValueError, match="each register once"):
+        PauliString((("pol", "sx"), ("pol", "sz")))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +565,6 @@ def _state_on(paths, ket):
 )
 def test_validate_rejects_non_isometric_tables(element, state):
     with pytest.raises(ValueError, match="same path|distinct"):
-        element.validate(state.schema)
+        element.validate(state.schema.layout("A"))
     with pytest.raises(ValueError, match="same path|distinct"):
         element.apply(state)

@@ -8,6 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import angles, assert_states_close, target_params
+from hyper_rsp.elements import (
+    DropUniformRegister,
+    FrequencyEraser,
+    PolarizationRotation,
+    PolarizingRouter,
+    WavelengthRouter,
+)
 from hyper_rsp.states import (
     POLARIZATION,
     Outcome,
@@ -141,6 +148,19 @@ def test_norm_enforced():
         StateVector.build(schema, {((), ("H",)): 0.5})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_non_finite_norm_rejected(bad, normalize):
+    schema = Schema((), (pol_register(),))
+    with pytest.raises(ValueError, match="not finite"):
+        StateVector.build(schema, {((), ("H",)): 1.0, ((), ("V",)): bad}, normalize=normalize)
+
+
+def test_nan_rotation_rejected():
+    with pytest.raises(ValueError, match="not finite"):
+        PolarizationRotation("A", math.nan).apply(make_hyper_bell(ProtocolKind.PF))
+
+
 def test_tiny_amplitudes_pruned():
     schema = Schema((), (pol_register(),))
     state = StateVector.build(schema, {((), ("H",)): 1.0, ((), ("V",)): 1e-16})
@@ -172,9 +192,14 @@ def test_equal_layouts_share_one_schema():
     assert built is hyper_bell_schema(ProtocolKind.PF)
     assert hyper_bell_schema(ProtocolKind.TB) is hyper_bell_schema(ProtocolKind.TB)
     assert receiver_schema(ProtocolKind.TB) is Schema((), (pol_register(), time_register()))
-    grown = built.with_register("A", path_register(("a1", "a2")))
-    assert grown is built.with_register("A", path_register(("a1", "a2")))
-    assert grown.without_register("A", "path") is built
+    router = WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, ("a1", "a2"))
+    grown = router.output_schema(built)
+    assert grown is router.output_schema(built)
+    assert grown is Schema(built.photon_a + (path_register(("a1", "a2")),), built.photon_b)
+    assert DropUniformRegister("A", "path", "a1").output_schema(grown) is built
+    erased = FrequencyEraser("A", {"a1": "w1", "a2": "w2"}).output_schema(grown)
+    assert erased is FrequencyEraser("A", {"a1": "w1", "a2": "w2"}).output_schema(grown)
+    assert PolarizationRotation("A", 0.3).output_schema(built) is built
     state = _measured_state()
     assert project_photon_a(state, Outcome("H", "a1"))[1].schema is receiver_schema(
         ProtocolKind.PF
@@ -215,11 +240,19 @@ def test_canonical_label_order():
 
 def test_schema_transforms_are_explicit():
     schema = Schema((pol_register(),), ())
-    grown = schema.with_register("A", path_register(("a1", "a2")))
-    assert grown.has_register("A", "path")
+    entry = PolarizingRouter("A", {"H": "a1", "V": "a2"}, registry=("a1", "a2"))
+    grown = entry.output_schema(schema)
+    assert "path" in grown.layout("A").positions
     with pytest.raises(SchemaMismatchError):
-        grown.with_register("A", path_register(("a1",)))
-    assert grown.without_register("A", "path") == schema
+        entry.validate(grown.layout("A"))
+    with pytest.raises(ValueError, match="duplicate register names"):
+        entry.output_schema(grown)
+    assert DropUniformRegister("A", "path", "a1").output_schema(grown) == schema
+    on_b = Schema((), (pol_register(),))
+    entry_b = PolarizingRouter("B", {"H": "a1", "V": "a2"}, registry=("a1", "a2"))
+    grown_b = entry_b.output_schema(on_b)
+    assert grown_b is Schema((), (pol_register(), path_register(("a1", "a2"))))
+    assert DropUniformRegister("B", "path", "a1").output_schema(grown_b) is on_b
 
 
 # ---------------------------------------------------------------------------
