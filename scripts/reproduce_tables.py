@@ -53,7 +53,10 @@ def main():
         params = cli.random_params(args.seed)
     else:
         a0, b0, ax, bx = args.params
-        params = TargetParams(a0, b0, ax, bx, ax, bx)
+        try:
+            params = TargetParams(a0, b0, ax, bx, ax, bx)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     all_pass = True
     for kind in ProtocolKind:

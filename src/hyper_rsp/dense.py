@@ -1,16 +1,16 @@
 """Dense matrix route: the independent check against the sparse label rewrites.
 
-Every element acts on one photon and is lowered on that photon alone: its
-matrix M is assembled column-by-column from its ket images over the photon's
-canonical kets (restricted to the element's legal domain where the map is
-conditional).  A canonical vector is read as a (dim A, dim B) grid, and M acts
-on its rows (photon A) or columns (photon B).  This is exact by the element
-interface: domain and ket images are handed only the photon's own ket and
-layout, and the canonical order puts photon A's registers first, so the full
-two-photon matrix is M ⊗ I (photon A) or I ⊗ M (photon B) on the domain, and
-max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isometry defect.  Agreement
-with the sparse application, and unitarity of every matrix, are the
-verification currency of the test suite.
+Every element acts on one photon and is lowered on that photon alone: one pass
+of ``ket_image`` over the photon's canonical kets gives both the element's legal
+domain (the kets whose image is not ``None``) and its matrix M, assembled
+column-by-column from those images.  A canonical vector is read as a
+(dim A, dim B) grid, and M acts on its rows (photon A) or columns (photon B).
+This is exact by the element interface: ``ket_image`` is handed only the
+photon's own ket and layout, and the canonical order puts photon A's registers
+first, so the full two-photon matrix is M ⊗ I (photon A) or I ⊗ M (photon B) on
+the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isometry
+defect.  Agreement with the sparse application, and unitarity of every matrix,
+are the verification currency of the test suite.
 """
 
 from __future__ import annotations
@@ -54,17 +54,21 @@ def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
 
 
 def element_to_dense(element: Element, schema: Schema) -> DenseElement:
-    """Lower one element to its matrix over its own photon's (domain) kets."""
+    """Lower one element to its matrix over its own photon's domain kets."""
     layout = schema.layout(element.photon)
     element.validate(layout)
     out_schema = element.output_schema(schema)
     out_layout = out_schema.layout(element.photon)
-    in_kets = element.domain(layout)
-    matrix = np.zeros((len(out_layout.kets), len(in_kets)), dtype=complex)
-    for j, ket in enumerate(in_kets):
-        for image, coeff in element.ket_image(ket, layout):
+    columns = [
+        (ket, images)
+        for ket in layout.kets
+        if (images := element.ket_image(ket, layout)) is not None
+    ]
+    matrix = np.zeros((len(out_layout.kets), len(columns)), dtype=complex)
+    for j, (_, images) in enumerate(columns):
+        for image, coeff in images:
             matrix[out_layout.index[image], j] += coeff
-    return DenseElement(matrix, in_kets, out_schema)
+    return DenseElement(matrix, [ket for ket, _ in columns], out_schema)
 
 
 def unitarity_defect(element: Element, schema: Schema) -> float:

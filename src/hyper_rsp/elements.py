@@ -11,10 +11,11 @@ The same ket images feed the dense matrix route in :mod:`hyper_rsp.dense`,
 which independently checks unitarity and matrix-vector equivalence.
 
 Some optics are unitary only on legal inputs (path-frequency correlation, empty
-unused ports, a free later time bin, a uniform register).  Each element states
-that rule once, as the per-ket predicate :meth:`Element.admits`; its
-:meth:`Element.domain` is derived from it, so the sparse :meth:`Element.apply`
-and the dense lowering reject exactly the same kets.
+unused ports, a free later time bin, a uniform register).  There ``ket_image`` is
+a partial map: it returns ``None`` on a ket outside the element's legal domain.
+That ``None`` case is the element's one legality rule, and the domain is derived
+from it, so the sparse :meth:`Element.apply` and the dense lowering reject
+exactly the same kets.
 
 Ket conventions used throughout (θ, φ in radians):
 
@@ -105,14 +106,15 @@ class PauliString:
 class Element:
     """Base class: a linear map declared ket-by-ket on one photon.
 
-    Every hook receives only the acting photon's :class:`Layout`, and
-    :meth:`admits` and :meth:`ket_image` also that photon's value tuple (its
-    ket).  :meth:`apply` and :meth:`output_schema`, the only methods that see
-    the two-photon :class:`Schema`, are derived: :meth:`apply` splits each
-    two-photon label once and reassembles it around the image.  :meth:`admits`
-    is the element's one legality rule: the sparse :meth:`apply` rejects any
-    support ket it refuses, and the dense lowering builds its matrix over
-    :meth:`domain`, which is derived from it.
+    An element declares three hooks, each receiving only the acting photon's
+    :class:`Layout`: :meth:`validate`, :meth:`output_registers` and
+    :meth:`ket_image`, which also gets that photon's value tuple (its ket).
+    :meth:`apply` and :meth:`output_schema`, the only methods that see the
+    two-photon :class:`Schema`, are derived: :meth:`apply` splits each
+    two-photon label once and reassembles it around the image.  Where
+    :meth:`ket_image` returns ``None`` the map is not defined: the sparse
+    :meth:`apply` rejects such a support ket, and the dense lowering builds its
+    matrix over the kets where it is defined.
     """
 
     photon: str
@@ -125,18 +127,11 @@ class Element:
         """The photon's registers after the element (default: unchanged)."""
         return layout.registers
 
-    def admits(self, ket: tuple, layout: Layout) -> bool:
-        """Whether the map is defined on ``ket`` (default: every ket)."""
-        return True
-
-    def ket_image(self, ket: tuple, layout: Layout) -> list[tuple[tuple, complex]]:
+    def ket_image(self, ket: tuple, layout: Layout) -> list[tuple[tuple, complex]] | None:
+        """``ket``'s image as (ket, coefficient) pairs; ``None`` outside the domain."""
         raise NotImplementedError
 
     # -- derived -----------------------------------------------------------
-    def domain(self, layout: Layout) -> list[tuple]:
-        """The photon's canonical kets on which the map is defined."""
-        return [ket for ket in layout.kets if self.admits(ket, layout)]
-
     def output_schema(self, schema: Schema) -> Schema:
         """``schema`` itself, or the interned schema with the photon's registers
         replaced by :meth:`output_registers`."""
@@ -157,12 +152,13 @@ class Element:
         acc: dict[Label, complex] = {}
         for label, amp in state.items():
             ket, rest = label if on_a else label[::-1]
-            if not self.admits(ket, layout):
+            images = self.ket_image(ket, layout)
+            if images is None:
                 raise CorrelationError(
                     f"{type(self).__name__}: ket {schema.format_label(label)} lies "
                     "outside the element's legal domain"
                 )
-            for image, coeff in self.ket_image(ket, layout):
+            for image, coeff in images:
                 new_label = (image, rest) if on_a else (rest, image)
                 acc[new_label] = acc.get(new_label, 0j) + amp * coeff
         return StateVector.build(out_schema, acc)
@@ -282,12 +278,11 @@ class FrequencyEraser(Element):
     def output_registers(self, layout):
         return _without(layout.registers, layout.position("freq"))
 
-    def admits(self, ket, layout):
-        path = ket[layout.positions["path"]]
-        return ket[layout.positions["freq"]] == self.correlation[path]
-
     def ket_image(self, ket, layout):
-        return [(_without(ket, layout.positions["freq"]), 1.0 + 0j)]
+        i_freq = layout.positions["freq"]
+        if ket[i_freq] != self.correlation[ket[layout.positions["path"]]]:
+            return None
+        return [(_without(ket, i_freq), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -339,13 +334,6 @@ class PolarizingRouter(Element):
             return layout.registers + (path_register(self.registry),)
         return layout.registers
 
-    def admits(self, ket, layout):
-        """An unused input port, one a routed input is sent to, must stay empty."""
-        if self._entry():
-            return True
-        key = (ket[layout.positions["pol"]], ket[layout.positions["path"]])
-        return key in self.routing or key not in self._images
-
     @functools.cached_property
     def _images(self) -> frozenset[tuple[str, str]]:
         """The (polarization, path) pairs the routed inputs are sent to."""
@@ -356,9 +344,12 @@ class PolarizingRouter(Element):
         if self._entry():
             return [(ket + (self.routing[pol],), 1.0 + 0j)]
         i_path = layout.positions["path"]
-        if (pol, ket[i_path]) not in self.routing:
-            return [(ket, 1.0 + 0j)]
-        return [(_with(ket, i_path, self.routing[(pol, ket[i_path])]), 1.0 + 0j)]
+        key = (pol, ket[i_path])
+        if key in self.routing:
+            return [(_with(ket, i_path, self.routing[key]), 1.0 + 0j)]
+        if key in self._images:  # an unused input port a routed input is sent to
+            return None
+        return [(ket, 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -397,24 +388,17 @@ class LongArmDelay(Element):
         layout.register("time")
         layout.register("path").index(self.path)
 
-    def _matches(self, ket: tuple, layout: Layout) -> bool:
-        return (
-            ket[layout.positions["path"]] == self.path
-            and ket[layout.positions["pol"]] == self.long_arm_polarization
-        )
-
-    def admits(self, ket, layout):
-        """A delayed ket needs a later time bin to move into."""
-        if not self._matches(ket, layout):
-            return True
-        i_time = layout.positions["time"]
-        return ket[i_time] + 1 in layout.registers[i_time].values
-
     def ket_image(self, ket, layout):
-        if not self._matches(ket, layout):
+        if (
+            ket[layout.positions["path"]] != self.path
+            or ket[layout.positions["pol"]] != self.long_arm_polarization
+        ):
             return [(ket, 1.0 + 0j)]
         i_time = layout.positions["time"]
-        return [(_with(ket, i_time, ket[i_time] + 1), 1.0 + 0j)]
+        later = ket[i_time] + 1
+        if later not in layout.registers[i_time].values:  # no later bin to move into
+            return None
+        return [(_with(ket, i_time, later), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -434,11 +418,11 @@ class DropUniformRegister(Element):
     def output_registers(self, layout):
         return _without(layout.registers, layout.position(self.register))
 
-    def admits(self, ket, layout):
-        return ket[layout.positions[self.register]] == self.expected_value
-
     def ket_image(self, ket, layout):
-        return [(_without(ket, layout.positions[self.register]), 1.0 + 0j)]
+        position = layout.positions[self.register]
+        if ket[position] != self.expected_value:
+            return None
+        return [(_without(ket, position), 1.0 + 0j)]
 
 
 @dataclass(frozen=True)
@@ -479,12 +463,6 @@ class BalancedSplitter(Element):
         for p in self.inputs + self.outputs:
             path.index(p)
 
-    def admits(self, ket, layout):
-        """Fresh output paths are unused ports; amplitude there would collide
-        with the split images."""
-        here = ket[layout.positions["path"]]
-        return here in self.inputs or here not in self.outputs
-
     def ket_image(self, ket, layout):
         i_path = layout.positions["path"]
         in1, in2 = self.inputs
@@ -494,6 +472,8 @@ class BalancedSplitter(Element):
             return [(_with(ket, i_path, out1), r), (_with(ket, i_path, out2), r)]
         if ket[i_path] == in2:
             return [(_with(ket, i_path, out1), r), (_with(ket, i_path, out2), -r)]
+        if ket[i_path] in self.outputs:  # a fresh output port: it would collide with the images
+            return None
         return [(ket, 1.0 + 0j)]
 
 
@@ -504,13 +484,7 @@ class PauliOp(Element):
     string: PauliString
 
     def validate(self, layout: Layout) -> None:
-        for register, _ in self.string.factors:
-            reg = layout.register(register)
-            if len(reg.values) != 2:
-                raise SchemaMismatchError(
-                    f"Pauli factor needs a two-valued register, {register!r} has "
-                    f"{len(reg.values)} values"
-                )
+        _pauli_images(layout, self.string)
 
     def ket_image(self, ket, layout):
         image = _pauli_images(layout, self.string).get(ket)
@@ -535,8 +509,18 @@ def _pauli_images(layout: Layout, string: PauliString) -> dict[tuple, tuple[tupl
     """One correction's signed permutation of the layout's canonical kets.
 
     Keyed by value, since every candidate of the correction search is a fresh
-    PauliOp; bounded by the number of schemas times two photons times 16.
+    PauliOp; bounded by the number of schemas times two photons times 16.  The
+    build checks that every factor's register exists and is two-valued, so
+    :meth:`PauliOp.validate` is a cached lookup; an invalid layout raises on
+    every call, since the cache keeps no exceptions.
     """
+    for register, _ in string.factors:
+        reg = layout.register(register)
+        if len(reg.values) != 2:
+            raise SchemaMismatchError(
+                f"Pauli factor needs a two-valued register, {register!r} has "
+                f"{len(reg.values)} values"
+            )
     op = PauliOp(layout.photon, string)
     return {ket: op.ket_rule(ket, layout)[0] for ket in layout.kets}
 

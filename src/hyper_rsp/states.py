@@ -194,9 +194,6 @@ class Schema:
         """All basis labels in canonical (lexicographic) order."""
         return list(self._labels)
 
-    def label_index(self) -> dict[Label, int]:
-        return {label: i for i, label in enumerate(self._labels)}
-
     def validate_label(self, label: Label) -> None:
         if label in self._label_set:
             return

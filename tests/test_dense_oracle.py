@@ -1,5 +1,6 @@
 """Sparse label rewrites against explicit dense matrices in canonical ordering."""
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +116,8 @@ def test_whole_circuit_dense_route(params):
 def test_dense_vector_canonical_layout():
     state = make_hyper_bell(PF)
     vec = state_to_vector(state)
-    index = state.schema.label_index()
-    assert vec[index[(("H", "w1"), ("H", "w1"))]] == 0.5
+    labels = state.schema.labels()
+    assert vec[labels.index((("H", "w1"), ("H", "w1")))] == 0.5
     assert np.count_nonzero(vec) == 4
     assert vec.shape == (state.schema.dimension(),)
 
@@ -143,7 +144,8 @@ def own_ket(element, label):
 
 def assert_routes_agree_ket_by_ket(element, schema):
     """Every basis ket alone: both routes accept it exactly on the domain, and agree."""
-    own_domain = set(element.domain(schema.layout(element.photon)))
+    layout = schema.layout(element.photon)
+    own_domain = {ket for ket in layout.kets if element.ket_image(ket, layout) is not None}
     basis = np.eye(schema.dimension())
     for i, label in enumerate(schema.labels()):
         try:
@@ -200,12 +202,15 @@ def test_both_routes_reject_an_off_domain_ket(element, schema, ket):
 
 def full_space_lowering(element, schema):
     """Reference: the element's matrix over the whole two-photon (domain) basis,
-    assembled label by label from the per-ket rule."""
+    assembled label by label from the per-ket rule; the domain is every label
+    whose own ket has an image."""
     layout = schema.layout(element.photon)
     element.validate(layout)
     on_a = element.photon == "A"
     in_labels = [
-        label for label in schema.labels() if element.admits(own_ket(element, label), layout)
+        label
+        for label in schema.labels()
+        if element.ket_image(own_ket(element, label), layout) is not None
     ]
     out_labels = element.output_schema(schema).labels()
     out_index = {label: i for i, label in enumerate(out_labels)}
@@ -265,6 +270,41 @@ class PolarizeToH(Element):
         return [(ket[:i_pol] + ("H",) + ket[i_pol + 1 :], 1.0 + 0j)]
 
 
+@dataclass(frozen=True)
+class KeepV(Element):
+    """A partial map: the identity on |V⟩ kets, undefined on |H⟩ kets."""
+
+    def ket_image(self, ket, layout):
+        if ket[layout.positions["pol"]] == "H":
+            return None
+        return [(ket, 1.0 + 0j)]
+
+
+@pytest.mark.parametrize("photon", ["A", "B"])
+@pytest.mark.parametrize("kind", [PF, TB])
+def test_both_routes_reject_exactly_where_the_ket_map_is_undefined(kind, photon):
+    element, schema = KeepV(photon), hyper_bell_schema(kind)
+    layout = schema.layout(photon)
+    defined = [ket for ket in layout.kets if ket[layout.positions["pol"]] == "V"]
+    assert element_to_dense(element, schema).in_kets == defined
+    basis = np.eye(schema.dimension())
+    for i, label in enumerate(schema.labels()):
+        state = StateVector.build(schema, {label: 1.0})
+        if own_ket(element, label) in defined:
+            assert element.apply(state) == state
+            vec, _ = apply_dense(element, basis[i], schema)
+            assert max_deviation(state, vec) == 0.0
+            continue
+        message = (
+            f"KeepV: ket {re.escape(schema.format_label(label))} lies outside the "
+            "element's legal domain"
+        )
+        with pytest.raises(CorrelationError, match=f"^{message}$"):
+            element.apply(state)
+        with pytest.raises(ValueError, match="outside the element's legal domain"):
+            apply_dense(element, basis[i], schema)
+
+
 @pytest.mark.parametrize("photon", ["A", "B"])
 @pytest.mark.parametrize("kind", [PF, TB])
 def test_factor_defect_of_a_non_isometry_is_the_full_space_defect(kind, photon):
@@ -303,14 +343,9 @@ def test_dense_photon_b_domain_rejects_off_domain_support():
 
 @dataclass(frozen=True)
 class Spy(Element):
-    """The identity, recording every ket and layout its rules are handed."""
+    """The identity, recording every ket and layout its rule is handed."""
 
-    admitted: list = field(default_factory=list, compare=False)
     imaged: list = field(default_factory=list, compare=False)
-
-    def admits(self, ket, layout):
-        self.admitted.append((ket, layout))
-        return True
 
     def ket_image(self, ket, layout):
         self.imaged.append((ket, layout))
@@ -339,16 +374,15 @@ def test_rules_are_handed_only_their_own_photon(kind, photon):
 
     spy = Spy(photon)
     sparse = spy.apply(state)
-    for record in (spy.admitted, spy.imaged):  # one call per support label, in order
-        assert len(record) == len(state.amplitudes)
-        for (ket, given), label in zip(record, state.amplitudes):
-            assert_own(ket, given)
-            assert set(ket).isdisjoint(label[other]), (ket, label)
-    spy.admitted.clear()
+    # one call per support label, in order
+    assert len(spy.imaged) == len(state.amplitudes)
+    for (ket, given), label in zip(spy.imaged, state.amplitudes):
+        assert_own(ket, given)
+        assert set(ket).isdisjoint(label[other]), (ket, label)
     spy.imaged.clear()
     vec, schema = apply_dense(spy, state_to_vector(state), state.schema)
-    assert spy.admitted and spy.imaged
-    for ket, given in spy.admitted + spy.imaged:
+    assert spy.imaged
+    for ket, given in spy.imaged:
         assert_own(ket, given)
     assert schema == sparse.schema
     assert max_deviation(sparse, vec) < 1e-10

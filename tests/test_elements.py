@@ -460,6 +460,16 @@ def test_pauli_register_mismatch():
         PauliOp("B", PauliString((("pol", "sz"), ("time", "sz")))).apply(target)
 
 
+def test_pauli_needs_a_two_valued_register_on_every_call():
+    schema = Schema((pol_register(), path_register(TB_PATHS)), (pol_register(),))
+    op = PauliOp("A", PauliString((("pol", "sz"), ("path", "sx"))))
+    for _ in range(2):  # a failed table build is not cached
+        with pytest.raises(SchemaMismatchError, match="'path' has 10 values"):
+            op.validate(schema.layout("A"))
+    with pytest.raises(SchemaMismatchError, match="'path' has 10 values"):
+        op.apply(StateVector.build(schema, {(("H", "k1"), ("H",)): 1.0}))
+
+
 @pytest.mark.parametrize(
     "schema, photon",
     [
