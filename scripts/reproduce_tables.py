@@ -56,7 +56,8 @@ def main():
         try:
             params = TargetParams(a0, b0, ax, bx, ax, bx)
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.error(f"{exc}; AX BX is the second-register pair, used as the freq pair (pf) "
+                         "and as the time pair (tb)")
 
     all_pass = True
     for kind in ProtocolKind:

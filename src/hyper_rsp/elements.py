@@ -19,21 +19,28 @@ exactly the same kets.
 
 Ket conventions used throughout (θ, φ in radians):
 
-    rotation      |H⟩ → cosθ|H⟩ + sinθ|V⟩,   |V⟩ → -sinθ|H⟩ + cosθ|V⟩
-    unbalanced    |p⟩ → cos(φ/2)|p⟩ + sin(φ/2)|q⟩,  |q⟩ → -sin(φ/2)|p⟩ + cos(φ/2)|q⟩
+    rotation      |u⟩ → cosθ|u⟩ + sinθ|v⟩,   |v⟩ → -sinθ|u⟩ + cosθ|v⟩
     balanced      |in₁⟩ → (|out₁⟩+|out₂⟩)/√2,       |in₂⟩ → (|out₁⟩-|out₂⟩)/√2
 
-Pauli factors act on two-valued registers (x₀, x₁) as
+The rotation is one rule, :func:`_rotate`: the wave plate applies it with θ on
+(u, v) = (H, V), and the unbalanced splitter with φ/2 on its path pair (p, q).
+The Pockels cell is a half-wave plate switched on in one time bin.
+
+The Pauli correction is defined by one table, ``_PAULI_ACTIONS``: each factor
+acts on a two-valued register (x₀, x₁) as
 
     σ_z: x₀ → x₀, x₁ → -x₁       σ_x: swap
-    iσ_y: x₀ → x₁, x₁ → -x₀      I: identity.
+    isy: x₀ → x₁, x₁ → -x₀       I: identity.
+
+``isy`` is the matrix [[0, -1], [1, 0]] = σ_xσ_z = -iσ_y (with
+σ_y = [[0, -i], [i, 0]]), not iσ_y; a global sign is invisible to fidelity.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .states import (
@@ -46,7 +53,15 @@ from .states import (
     path_register,
 )
 
-PAULI_AXES = ("I", "sx", "isy", "sz")
+#: Each Pauli axis as the images of a two-valued register's values 0 and 1,
+#: each a (new index, sign) pair: the correction's one definition.
+_PAULI_ACTIONS = {
+    "I": ((0, 1.0), (1, 1.0)),
+    "sx": ((1, 1.0), (0, 1.0)),
+    "isy": ((1, 1.0), (0, -1.0)),
+    "sz": ((0, 1.0), (1, -1.0)),
+}
+PAULI_AXES = tuple(_PAULI_ACTIONS)
 
 #: dof tag used in operator names, per register
 _DOF_TAGS = {"pol": "p", "freq": "f", "time": "t", "path": "s"}
@@ -56,26 +71,13 @@ class CorrelationError(ValueError):
     """A rewrite that is only unitary on correlated labels met an illegal state."""
 
 
-def _pauli_factor_action(axis: str, index: int) -> tuple[int, float]:
-    """Image of basis value ``index`` (0 or 1): (new index, sign)."""
-    if axis == "I":
-        return index, 1.0
-    if axis == "sx":
-        return 1 - index, 1.0
-    if axis == "sz":
-        return index, 1.0 if index == 0 else -1.0
-    if axis == "isy":
-        # x₀ → x₁, x₁ → -x₀
-        return 1 - index, 1.0 if index == 0 else -1.0
-    raise ValueError(f"unknown Pauli axis {axis!r}")
-
-
 @dataclass(frozen=True)
 class PauliString:
     """A correction operator: one Pauli factor per receiver register.
 
     ``factors`` holds exactly two (register name, axis) pairs, axis in
-    {"I", "sx", "isy", "sz"}.
+    {"I", "sx", "isy", "sz"}.  ``isy`` is σ_xσ_z = -iσ_y (x₀ → x₁, x₁ → -x₀),
+    not iσ_y; the two differ by a global sign, which fidelity cannot see.
     """
 
     factors: tuple[tuple[str, str], ...]
@@ -174,6 +176,18 @@ def _without(entries: tuple, position: int) -> tuple:
     return entries[:position] + entries[position + 1 :]
 
 
+def _rotate(ket: tuple, position: int, pair: tuple, angle: float) -> list[tuple[tuple, complex]]:
+    """The rotation by ``angle`` on the values ``pair`` = (u, v) of the register at
+    ``position``; a ket holding neither value is untouched."""
+    if ket[position] not in pair:
+        return [(ket, 1.0 + 0j)]
+    u, v = pair
+    c, s = math.cos(angle), math.sin(angle)
+    if ket[position] == u:
+        return [(_with(ket, position, u), c), (_with(ket, position, v), s)]
+    return [(_with(ket, position, u), -s), (_with(ket, position, v), c)]
+
+
 @dataclass(frozen=True)
 class PolarizationRotation(Element):
     """Wave plate rotating H/V by ``theta``, optionally restricted to paths."""
@@ -191,16 +205,13 @@ class PolarizationRotation(Element):
     def ket_image(self, ket, layout):
         if self.paths is not None and ket[layout.positions["path"]] not in self.paths:
             return [(ket, 1.0 + 0j)]
-        i_pol = layout.positions["pol"]
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        if ket[i_pol] == "H":
-            return [(_with(ket, i_pol, "H"), c), (_with(ket, i_pol, "V"), s)]
-        return [(_with(ket, i_pol, "H"), -s), (_with(ket, i_pol, "V"), c)]
+        return _rotate(ket, layout.positions["pol"], ("H", "V"), self.theta)
 
 
 @dataclass(frozen=True)
 class UnbalancedSplitter(Element):
-    """Variable splitter mixing two spatial modes by the angle ``phi``."""
+    """Variable splitter mixing two spatial modes by the angle ``phi``: the
+    rotation by φ/2 on ``path_pair``."""
 
     path_pair: tuple[str, str]
     phi: float
@@ -213,14 +224,7 @@ class UnbalancedSplitter(Element):
             reg.index(p)
 
     def ket_image(self, ket, layout):
-        i_path = layout.positions["path"]
-        p, q = self.path_pair
-        c, s = math.cos(self.phi / 2.0), math.sin(self.phi / 2.0)
-        if ket[i_path] == p:
-            return [(_with(ket, i_path, p), c), (_with(ket, i_path, q), s)]
-        if ket[i_path] == q:
-            return [(_with(ket, i_path, p), -s), (_with(ket, i_path, q), c)]
-        return [(ket, 1.0 + 0j)]
+        return _rotate(ket, layout.positions["path"], self.path_pair, self.phi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -353,29 +357,6 @@ class PolarizingRouter(Element):
 
 
 @dataclass(frozen=True)
-class PockelsCell(Element):
-    """Fast switch: flips polarization only in one time bin on the listed paths."""
-
-    paths: tuple[str, ...]
-    time_value: int
-
-    def validate(self, layout: Layout) -> None:
-        layout.register("pol")
-        layout.register("time").index(self.time_value)
-        path = layout.register("path")
-        for p in self.paths:
-            path.index(p)
-
-    def ket_image(self, ket, layout):
-        i_pol = layout.positions["pol"]
-        on_path = ket[layout.positions["path"]] in self.paths
-        if on_path and ket[layout.positions["time"]] == self.time_value:
-            flipped = "V" if ket[i_pol] == "H" else "H"
-            return [(_with(ket, i_pol, flipped), 1.0 + 0j)]
-        return [(ket, 1.0 + 0j)]
-
-
-@dataclass(frozen=True)
 class LongArmDelay(Element):
     """Unbalanced-interferometer arm: the designated polarization on one path
     gains one unit of delay, cancelling the gap between the two time bins."""
@@ -431,18 +412,35 @@ class HalfWavePlate(Element):
 
     paths: tuple[str, ...]
 
+    #: The one time bin a switched plate (:class:`PockelsCell`) acts in; a
+    #: plain plate acts in every bin.
+    time_value = None
+
     def validate(self, layout: Layout) -> None:
         layout.register("pol")
+        if self.time_value is not None:
+            layout.register("time").index(self.time_value)
         path = layout.register("path")
         for p in self.paths:
             path.index(p)
 
     def ket_image(self, ket, layout):
+        if ket[layout.positions["path"]] not in self.paths or (
+            self.time_value is not None and ket[layout.positions["time"]] != self.time_value
+        ):
+            return [(ket, 1.0 + 0j)]
         i_pol = layout.positions["pol"]
-        if ket[layout.positions["path"]] in self.paths:
-            flipped = "V" if ket[i_pol] == "H" else "H"
-            return [(_with(ket, i_pol, flipped), 1.0 + 0j)]
-        return [(ket, 1.0 + 0j)]
+        flipped = "V" if ket[i_pol] == "H" else "H"
+        return [(_with(ket, i_pol, flipped), 1.0 + 0j)]
+
+
+@dataclass(frozen=True)
+class PockelsCell(HalfWavePlate):
+    """Fast switch: a half-wave plate on the listed paths that is switched on
+    only in the time bin ``time_value``."""
+
+    # field(): without it the plate's ``time_value = None`` would become a default.
+    time_value: int = field()
 
 
 @dataclass(frozen=True)
@@ -484,45 +482,46 @@ class PauliOp(Element):
     string: PauliString
 
     def validate(self, layout: Layout) -> None:
-        _pauli_images(layout, self.string)
+        _pauli_images(layout, self.string.factors)
 
     def ket_image(self, ket, layout):
-        image = _pauli_images(layout, self.string).get(ket)
-        if image is None:  # outside the layout's basis: the rule's own answer or error
-            return self.ket_rule(ket, layout)
-        return [image]
-
-    def ket_rule(self, ket, layout):
-        """The per-ket definition that :func:`_pauli_images` tabulates."""
-        sign = 1.0
-        for register, axis in self.string.factors:
-            pos = layout.position(register)
-            reg = layout.registers[pos]
-            new_index, factor_sign = _pauli_factor_action(axis, reg.index(ket[pos]))
-            sign *= factor_sign
-            ket = _with(ket, pos, reg.values[new_index])
-        return [(ket, sign + 0j)]
+        image = _pauli_images(layout, self.string.factors).get(ket)
+        return None if image is None else [image]
 
 
 @functools.cache
-def _pauli_images(layout: Layout, string: PauliString) -> dict[tuple, tuple[tuple, complex]]:
-    """One correction's signed permutation of the layout's canonical kets.
+def _pauli_images(
+    layout: Layout, factors: tuple[tuple[str, str], ...]
+) -> dict[tuple, tuple[tuple, complex]]:
+    """One correction's signed permutation of the layout's canonical kets, built
+    from ``_PAULI_ACTIONS``.
 
-    Keyed by value, since every candidate of the correction search is a fresh
-    PauliOp; bounded by the number of schemas times two photons times 16.  The
-    build checks that every factor's register exists and is two-valued, so
+    Keyed by the factor tuple, since every candidate of the correction search
+    is a fresh PauliOp, and a tuple of strings hashes without a Python call;
+    bounded by the number of schemas times two photons times 16.  The build
+    checks that every factor's register exists and is two-valued, so
     :meth:`PauliOp.validate` is a cached lookup; an invalid layout raises on
     every call, since the cache keeps no exceptions.
     """
-    for register, _ in string.factors:
-        reg = layout.register(register)
-        if len(reg.values) != 2:
+    actions = []
+    for register, axis in factors:
+        position = layout.position(register)
+        values = layout.registers[position].values
+        if len(values) != 2:
             raise SchemaMismatchError(
                 f"Pauli factor needs a two-valued register, {register!r} has "
-                f"{len(reg.values)} values"
+                f"{len(values)} values"
             )
-    op = PauliOp(layout.photon, string)
-    return {ket: op.ket_rule(ket, layout)[0] for ket in layout.kets}
+        actions.append((position, values, _PAULI_ACTIONS[axis]))
+    images = {}
+    for ket in layout.kets:
+        image, sign = ket, 1.0
+        for position, values, action in actions:
+            index, factor_sign = action[values.index(ket[position])]
+            image = _with(image, position, values[index])
+            sign *= factor_sign
+        images[ket] = (image, sign + 0j)
+    return images
 
 
 @functools.cache

@@ -215,14 +215,6 @@ class CorrectionSearch:
 
     matches: tuple[PauliString, ...]
 
-    @property
-    def operator(self) -> PauliString:
-        return self.matches[0]
-
-    @property
-    def ambiguous(self) -> bool:
-        return len(self.matches) > 1
-
 
 def derive_correction(bob_state: StateVector, target: StateVector) -> CorrectionSearch:
     """Search all 16 two-factor corrections for ones reaching the target.

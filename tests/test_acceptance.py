@@ -131,7 +131,7 @@ def test_criterion_4_correction_rederivation():
         for report in run_protocol(kind, GENERIC):
             search = derive_correction(report.bob_state_pre, target)
             assert len(search.matches) == 1, f"{report.outcome}: {search.matches}"
-            assert search.operator == correction_table(kind, report.outcome)
+            assert search.matches[0] == correction_table(kind, report.outcome)
             rows += 1
     assert rows == 12
     _passed("[4] exhaustive 16-way search re-derives all 12 table rows uniquely")

@@ -250,6 +250,22 @@ def test_one_photon_factor_equals_full_space_lowering(params):
             assert_factor_is_exact(element, schema)
 
 
+def test_pockels_cell_is_a_half_wave_plate_switched_on_in_one_bin():
+    params = TargetParams(0.6, 0.8, 0.28, 0.96)
+    schema = next(s for e, s in walk_circuit(TB, params) if isinstance(e, PockelsCell))
+    layout = schema.layout("A")
+    i_time = layout.positions["time"]
+    identity = np.eye(len(layout.kets))
+    for paths in (("a1",), ("a2",), ("a1", "a2")):
+        plate = element_to_dense(HalfWavePlate("A", paths), schema)
+        for t in layout.register("time").values:
+            cell = element_to_dense(PockelsCell("A", paths, t), schema)
+            assert cell.in_kets == plate.in_kets == list(layout.kets)
+            for j, ket in enumerate(layout.kets):
+                expected = plate.matrix[:, j] if ket[i_time] == t else identity[:, j]
+                assert np.array_equal(cell.matrix[:, j], expected), (paths, t, ket)
+
+
 @pytest.mark.parametrize(
     "schema",
     [receiver_schema(PF), receiver_schema(TB), hyper_bell_schema(PF), hyper_bell_schema(TB)],

@@ -1,10 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import angles, assert_amplitudes_equal, target_params
+from hyper_rsp.dense import element_to_dense
 from hyper_rsp.elements import (
     BalancedSplitter,
     CorrelationError,
@@ -125,6 +127,17 @@ def test_splitter_mixing_weights(phi):
     out = UnbalancedSplitter("A", ("a1", "a2"), phi).apply(state)
     assert out.amplitude((("H", "a1"), ("H",))) == pytest.approx(c, abs=1e-12)
     assert out.amplitude((("H", "a2"), ("H",))) == pytest.approx(s, abs=1e-12)
+
+
+def test_splitter_leaves_other_paths_untouched():
+    schema = Schema((pol_register(), path_register(("a1", "a2", "a3"))), (pol_register(),))
+    state = StateVector.build(
+        schema, {(("H", "a1"), ("H",)): 1 / SQ2, (("V", "a3"), ("H",)): 1 / SQ2}
+    )
+    out = UnbalancedSplitter("A", ("a1", "a2"), math.pi).apply(state)
+    assert_amplitudes_equal(
+        out, {(("H", "a2"), ("H",)): 1 / SQ2, (("V", "a3"), ("H",)): 1 / SQ2}
+    )
 
 
 def test_splitter_unknown_path():
@@ -470,6 +483,17 @@ def test_pauli_needs_a_two_valued_register_on_every_call():
         op.apply(StateVector.build(schema, {(("H", "k1"), ("H",)): 1.0}))
 
 
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+
+#: Each axis as its textbook 2x2 matrix; ``isy`` is -iσ_y = σ_xσ_z.
+TEXTBOOK_PAULI = {
+    "I": np.eye(2),
+    "sx": np.array([[0, 1], [1, 0]]),
+    "isy": -1j * SIGMA_Y,
+    "sz": np.array([[1, 0], [0, -1]]),
+}
+
+
 @pytest.mark.parametrize(
     "schema, photon",
     [
@@ -479,19 +503,17 @@ def test_pauli_needs_a_two_valued_register_on_every_call():
     ],
     ids=["pf-receiver", "tb-receiver", "pf-channel-A"],
 )
-def test_pauli_images_match_the_per_ket_rule(schema, photon):
+def test_pauli_matrices_are_textbook_kron_products(schema, photon):
     layout = schema.layout(photon)
     kets = list(layout.kets)
     names = tuple(r.name for r in layout.registers)
     for string in all_pauli_strings(names):
         op = PauliOp(photon, string)
-        images = [op.ket_image(ket, layout) for ket in kets]
-        assert images == [op.ket_rule(ket, layout) for ket in kets]
-        assert sorted(image[0][0] for image in images) == sorted(kets)
-        assert {image[0][1] for image in images} <= {1.0, -1.0}
+        (_, first), (_, second) = string.factors
+        expected = np.kron(TEXTBOOK_PAULI[first], TEXTBOOK_PAULI[second])
+        assert np.array_equal(element_to_dense(op, schema).matrix, expected), string
         foreign = ("D",) + kets[0][1:]
-        with pytest.raises(ValueError):
-            op.ket_image(foreign, layout)
+        assert op.ket_image(foreign, layout) is None
 
 
 def test_pauli_string_validation():

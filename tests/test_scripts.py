@@ -65,6 +65,13 @@ def test_bad_count_usage_error(script, args, message):
     assert "Traceback" not in result.stderr
 
 
+def test_reproduce_tables_bad_pair_names_both_uses_of_the_second_pair():
+    result = run_script("reproduce_tables.py", "--params", "0.6", "0.8", "0.6", "0.9")
+    assert result.returncode == 2
+    assert ("freq pair (0.6, 0.9) not normalized: α²+β² = 1.17; AX BX is the second-register "
+            "pair, used as the freq pair (pf) and as the time pair (tb)") in result.stderr
+
+
 def test_reproduce_tables_frequencies_follow_the_registry_within_three_sigma():
     result = run_script("reproduce_tables.py", "--params", "0.6", "0.8", "0.28", "0.96",
                         "--trials", "20000", "--seed", "3")
