@@ -55,8 +55,7 @@ def main():
         print("  ".join(f"{row[name]:>20}" for name in header))
 
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            handle.write(cli.csv_text(rows))
+        cli._emit(parser, cli.csv_text(rows), args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
 
 

@@ -1,21 +1,21 @@
 """Resource efficiency of the two protocols, kept in exact rational arithmetic.
 
 The figure of merit is (qubits prepared) / (channel qubits + classical bits).
-Both protocols prepare a two-qubit single-photon state over a four-qubit
-hyper-entangled channel; they differ only in the classical cost, 2 bits versus
-3, so the fractions 1/3 and 2/7 are exact and compared without tolerance.
+The counts are read off each protocol's declarations: the prepared qubits are
+log₂ of each receiver register's size (two two-valued registers, 2 qubits),
+the hyper-entangled channel holds them once per photon (4 qubits), and the
+classical cost is the codec's payload width, 2 bits versus 3.  So the
+fractions 1/3 and 2/7 are exact and compared without tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .runtime import PAYLOAD_BITS
-from .states import ProtocolKind
-
-TRANSMITTED_QUBITS = 2
-CHANNEL_QUBITS = 4
+from .states import ProtocolKind, hyper_bell_schema
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,13 @@ def efficiency(inputs: EfficiencyInput) -> Fraction:
     return Fraction(inputs.transmitted_qubits, inputs.channel_qubits + inputs.classical_bits)
 
 
-def classical_bits(kind: ProtocolKind) -> int:
-    """The per-run classical cost, taken from the channel codec's payload width."""
-    return PAYLOAD_BITS[kind]
-
-
 def protocol_inputs(kind: ProtocolKind) -> EfficiencyInput:
+    """Counted from the receiver photon: photon A's tb time register has 3 values."""
+    prepared = sum(int(math.log2(len(reg.values))) for reg in hyper_bell_schema(kind).photon_b)
     return EfficiencyInput(
-        transmitted_qubits=TRANSMITTED_QUBITS,
-        channel_qubits=CHANNEL_QUBITS,
-        classical_bits=classical_bits(kind),
+        transmitted_qubits=prepared,
+        channel_qubits=2 * prepared,
+        classical_bits=PAYLOAD_BITS[kind],
     )
 
 

@@ -16,17 +16,18 @@ Polarization-time-bin circuit (eight detectors, pol x {kp1..kp4}):
     time register is dropped  →  H↔V flips on k1, k2  →  two 50:50 splitters
     (k1,k4)→(kp1,kp4) and (k2,k3)→(kp2,kp3).
 
-The receiver applies a tabulated two-factor Pauli correction keyed on the
-announced outcome; each protocol's table is also its detector registry, in
-message-code order.  `derive_correction` re-derives that table by exhaustive
-search over all 16 candidates and is the oracle the hard-coded map is tested
-against.
+The receiver applies a two-factor Pauli correction keyed on the announced
+outcome.  Both the detector registry (the final stage's occupied photon-A kets,
+in canonical order = message-code order) and the correction table are read off
+the circuit once per process; each correction is the single match of the
+16-way search `derive_correction` at a fixed generic target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .elements import (
     BalancedSplitter,
@@ -63,7 +64,7 @@ TB_PATHS = ("a1", "a2", "k1", "k2", "k3", "k4", "kp1", "kp2", "kp3", "kp4")
 
 
 class CorrectionNotFoundError(RuntimeError):
-    """No Pauli correction reaches the target: a table/convention inconsistency."""
+    """No single Pauli correction reaches the target: a circuit/convention inconsistency."""
 
 
 def rotation_angle(alpha: float, beta: float) -> float:
@@ -126,41 +127,41 @@ def evolve(kind: ProtocolKind, params: TargetParams) -> StateVector:
     return state
 
 
-def _corrections(table: dict) -> dict[Outcome, PauliString]:
-    return {Outcome(*key): PauliString(factors) for key, factors in table.items()}
+#: Generic target: no pair on an axis, four distinct receiver amplitudes.
+_GENERIC_TARGET = TargetParams.from_angles(0.3, 1.1, 2.0)
 
 
-#: Each protocol's correction table, keyed by (polarization, detector path).  Its
-#: keys are the detector registry, in classical-message code order.
-_CORRECTIONS = {
-    ProtocolKind.PF: _corrections({
-        ("H", "a1"): (("pol", "sz"), ("freq", "sz")),
-        ("H", "a2"): (("pol", "sz"), ("freq", "sx")),
-        ("V", "a1"): (("pol", "sx"), ("freq", "sz")),
-        ("V", "a2"): (("pol", "sx"), ("freq", "sx")),
-    }),
-    ProtocolKind.TB: _corrections({
-        ("H", "kp1"): (("pol", "sx"), ("time", "sx")),
-        ("H", "kp2"): (("pol", "sz"), ("time", "I")),
-        ("H", "kp3"): (("pol", "sz"), ("time", "sz")),
-        ("H", "kp4"): (("pol", "sx"), ("time", "isy")),
-        ("V", "kp1"): (("pol", "sz"), ("time", "sx")),
-        ("V", "kp2"): (("pol", "sx"), ("time", "I")),
-        ("V", "kp3"): (("pol", "sx"), ("time", "sz")),
-        ("V", "kp4"): (("pol", "sz"), ("time", "isy")),
-    }),
-}
+@cache
+def _corrections(kind: ProtocolKind) -> dict[Outcome, PauliString]:
+    """The correction table read off the circuit, keyed by the final stage's
+    occupied photon-A kets in canonical order: the detector registry, in
+    classical-message code order.  Each value is the search's single match."""
+    final = evolve(kind, _GENERIC_TARGET)
+    target = make_target(_GENERIC_TARGET, kind)
+    layout = final.schema.layout("A")
+    occupied = {a_values for a_values, _ in final.amplitudes}
+    table = {}
+    for ket in filter(occupied.__contains__, layout.kets):
+        outcome = Outcome(ket[layout.positions["pol"]], ket[layout.positions["path"]])
+        try:
+            matches = derive_correction(project_photon_a(final, outcome)[1], target).matches
+        except CorrectionNotFoundError:
+            matches = ()
+        if len(matches) != 1:
+            raise CorrectionNotFoundError(f"{len(matches)} corrections for outcome {outcome}")
+        table[outcome] = matches[0]
+    return table
 
 
 def outcome_registry(kind: ProtocolKind) -> tuple[Outcome, ...]:
     """All detector outcomes, in classical-message code order."""
-    return tuple(_CORRECTIONS[kind])
+    return tuple(_corrections(kind))
 
 
 def correction_table(kind: ProtocolKind, outcome: Outcome) -> PauliString:
-    """The receiver's tabulated correction for one announced outcome."""
+    """The receiver's correction for one announced outcome."""
     try:
-        return _CORRECTIONS[kind][outcome]
+        return _corrections(kind)[outcome]
     except KeyError:
         raise UnknownDetectorError(f"no correction tabulated for outcome {outcome}") from None
 

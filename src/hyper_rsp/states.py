@@ -245,13 +245,13 @@ class StateVector:
         amplitudes: Mapping[Label, complex],
         normalize: bool = False,
     ) -> "StateVector":
-        """Prune tiny amplitudes, validate labels, and enforce unit norm."""
+        """Validate every label, prune tiny amplitudes, and enforce unit norm."""
         pruned: dict[Label, complex] = {}
         for label, amp in amplitudes.items():
+            schema.validate_label(label)
             amp = complex(amp)
             if abs(amp) < PRUNE_TOL:
                 continue
-            schema.validate_label(label)
             pruned[label] = amp
         norm_sq = sum(abs(a) ** 2 for a in pruned.values())
         if not math.isfinite(norm_sq):
@@ -354,6 +354,8 @@ def hyper_bell_schema(kind: ProtocolKind) -> Schema:
             (pol_register(), freq_register()),
             (pol_register(), freq_register()),
         )
+    if kind is not ProtocolKind.TB:
+        raise ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind")
     return Schema(
         (pol_register(), time_register(TIME_BINS_WITH_DELAY)),
         (pol_register(), time_register()),

@@ -13,7 +13,7 @@ import pytest
 
 from test_protocols import tabulated_receiver_state
 from hyper_rsp.dense import apply_dense, max_deviation, state_to_vector, unitarity_defect
-from hyper_rsp.efficiency import classical_bits, protocol_efficiency
+from hyper_rsp.efficiency import protocol_efficiency, protocol_inputs
 from hyper_rsp.protocols import (
     build_circuit,
     correction_table,
@@ -140,8 +140,8 @@ def test_criterion_4_correction_rederivation():
 def test_criterion_5_efficiency_fractions():
     assert protocol_efficiency(PF) == Fraction(1, 3)
     assert protocol_efficiency(TB) == Fraction(2, 7)
-    assert classical_bits(PF) == PAYLOAD_BITS[PF] == 2
-    assert classical_bits(TB) == PAYLOAD_BITS[TB] == 3
+    assert protocol_inputs(PF).classical_bits == PAYLOAD_BITS[PF] == 2
+    assert protocol_inputs(TB).classical_bits == PAYLOAD_BITS[TB] == 3
     _passed("[5] efficiencies exactly 1/3 and 2/7; classical bit costs 2 and 3")
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from hyper_rsp.efficiency import (
     EfficiencyInput,
-    classical_bits,
     efficiency,
     protocol_efficiency,
     protocol_inputs,
@@ -39,14 +38,13 @@ def test_protocol_values_exact():
 
 
 def test_classical_bits_cross_checked_against_channel():
-    for kind in ProtocolKind:
-        assert classical_bits(kind) == PAYLOAD_BITS[kind]
-    assert classical_bits(ProtocolKind.PF) == 2
-    assert classical_bits(ProtocolKind.TB) == 3
+    assert protocol_inputs(ProtocolKind.PF).classical_bits == PAYLOAD_BITS[ProtocolKind.PF] == 2
+    assert protocol_inputs(ProtocolKind.TB).classical_bits == PAYLOAD_BITS[ProtocolKind.TB] == 3
 
 
-def test_protocol_inputs_resource_counts():
-    inputs = protocol_inputs(ProtocolKind.PF)
+@pytest.mark.parametrize("kind", [ProtocolKind.PF, ProtocolKind.TB])
+def test_protocol_inputs_resource_counts(kind):
+    inputs = protocol_inputs(kind)
     assert (inputs.transmitted_qubits, inputs.channel_qubits) == (2, 4)
 
 

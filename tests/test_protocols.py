@@ -21,6 +21,7 @@ from conftest import (
     protocol_kinds,
     target_params,
 )
+from hyper_rsp import protocols
 from hyper_rsp.cli import verify_report
 from hyper_rsp.elements import PauliString, all_pauli_strings
 from hyper_rsp.protocols import (
@@ -392,14 +393,34 @@ def test_basis_target_prepared_exactly():
 # correction table and its search oracle
 
 
+#: The paper's correction table, typed by hand, keyed by (polarization, detector
+#: path) in classical-message code order; the code derives it from the circuit.
+PAPER_TABLE = {
+    PF: {
+        ("H", "a1"): (("pol", "sz"), ("freq", "sz")),
+        ("H", "a2"): (("pol", "sz"), ("freq", "sx")),
+        ("V", "a1"): (("pol", "sx"), ("freq", "sz")),
+        ("V", "a2"): (("pol", "sx"), ("freq", "sx")),
+    },
+    TB: {
+        ("H", "kp1"): (("pol", "sx"), ("time", "sx")),
+        ("H", "kp2"): (("pol", "sz"), ("time", "I")),
+        ("H", "kp3"): (("pol", "sz"), ("time", "sz")),
+        ("H", "kp4"): (("pol", "sx"), ("time", "isy")),
+        ("V", "kp1"): (("pol", "sz"), ("time", "sx")),
+        ("V", "kp2"): (("pol", "sx"), ("time", "I")),
+        ("V", "kp3"): (("pol", "sx"), ("time", "sz")),
+        ("V", "kp4"): (("pol", "sz"), ("time", "isy")),
+    },
+}
+
+
 @pytest.mark.parametrize(
     "kind,outcome,expected",
     [
-        (PF, Outcome("H", "a1"), (("pol", "sz"), ("freq", "sz"))),
-        (PF, Outcome("H", "a2"), (("pol", "sz"), ("freq", "sx"))),
-        (TB, Outcome("V", "kp2"), (("pol", "sx"), ("time", "I"))),
-        (TB, Outcome("H", "kp3"), (("pol", "sz"), ("time", "sz"))),
-        (TB, Outcome("V", "kp4"), (("pol", "sz"), ("time", "isy"))),
+        (kind, Outcome(*key), factors)
+        for kind, table in PAPER_TABLE.items()
+        for key, factors in table.items()
     ],
 )
 def test_correction_table_entries(kind, outcome, expected):
@@ -481,10 +502,39 @@ def test_degenerate_targets_search_deterministically(kind, pairs):
 
 
 def test_outcome_registries():
-    assert len(outcome_registry(PF)) == 4
-    assert len(outcome_registry(TB)) == 8
-    assert outcome_registry(PF)[0] == Outcome("H", "a1")
-    assert outcome_registry(TB)[-1] == Outcome("V", "kp4")
+    # The message-code order, pinned: codes are on the wire.
+    assert outcome_registry(PF) == (
+        Outcome("H", "a1"), Outcome("H", "a2"), Outcome("V", "a1"), Outcome("V", "a2"),
+    )
+    assert outcome_registry(TB) == tuple(
+        Outcome(pol, f"kp{i}") for pol in ("H", "V") for i in range(1, 5)
+    )
+    for kind, table in PAPER_TABLE.items():
+        assert outcome_registry(kind) == tuple(Outcome(*key) for key in table)
+
+
+@pytest.mark.parametrize("kind", ["pf", "tb", None])
+def test_registry_rejects_a_kind_that_is_not_a_protocol(kind):
+    with pytest.raises(ValueError, match="unknown protocol"):
+        outcome_registry(kind)
+
+
+@pytest.fixture
+def underived():
+    """Clear the derived tables before and after, so a patched derivation runs
+    afresh and is not kept."""
+    protocols._corrections.cache_clear()
+    yield
+    protocols._corrections.cache_clear()
+
+
+@pytest.mark.parametrize("kind,first", [(PF, "H@a1"), (TB, "H@kp1")])
+def test_derivation_refuses_an_ambiguous_generic_target(kind, first, underived, monkeypatch):
+    # On the pol axis σ_z acts trivially on the target, so every branch has
+    # two matching corrections and the derivation must not pick one.
+    monkeypatch.setattr(protocols, "_GENERIC_TARGET", TargetParams(1.0, 0.0, 0.6, 0.8, 0.6, 0.8))
+    with pytest.raises(CorrectionNotFoundError, match=f"^2 corrections for outcome {first}$"):
+        outcome_registry(kind)
 
 
 @given(params=target_params())

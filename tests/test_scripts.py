@@ -50,6 +50,8 @@ def test_out_of_range_seed_usage_error(script, seed):
     [
         ("loss_sweep.py", ("--trials", "0"), "--trials must be positive, got 0"),
         ("loss_sweep.py", ("--points", "0"), "--points must be positive, got 0"),
+        ("loss_sweep.py", ("--points", "2", "--trials", "100", "--csv", "/nonexistent/dir/x.csv"),
+         "/nonexistent/dir/x.csv: No such file or directory"),
         ("reproduce_tables.py", ("--trials", "-5"), "--trials must not be negative, got -5"),
         ("reproduce_tables.py", ("--params", "2", "0", "1", "0"),
          "pol coefficient 2.0 outside [-1, 1]"),

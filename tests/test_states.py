@@ -173,6 +173,10 @@ def test_label_validation():
         StateVector.build(schema, {((), ("D",)): 1.0})
     with pytest.raises(SchemaMismatchError):
         StateVector.build(schema, {((), ("H", "w1")): 1.0})
+    # A label outside the schema is refused even when its amplitude would be pruned.
+    bell = make_hyper_bell(ProtocolKind.PF)
+    with pytest.raises(SchemaMismatchError, match="value 'w9' not allowed in register 'freq'"):
+        StateVector.build(bell.schema, {**bell.amplitudes, (("H", "w9"), ("H", "w1")): 1e-15})
 
 
 def test_label_validation_after_the_cache_is_warm():
