@@ -8,6 +8,7 @@ one ``hyper-rsp sample --params random --seed`` draws.
 """
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -32,12 +33,35 @@ def main():
 
     kind = ProtocolKind.parse(args.protocol)
     params = cli.random_params(args.seed)
+    with open_csv(parser, args.csv) as csv_file:
+        rows = sweep(kind, params, args.trials, args.seed, args.points)
+        header = list(rows[0])
+        print("  ".join(f"{name:>20}" for name in header))
+        for row in rows:
+            print("  ".join(f"{row[name]:>20}" for name in header))
+        if csv_file:
+            csv_file.write(cli.csv_text(rows))
+    if args.csv:
+        print(f"wrote {args.csv}", file=sys.stderr)
 
+
+def open_csv(parser, path):
+    """The --csv file, opened before the sweep so that a path that cannot be
+    written is a usage error up front; a null context without --csv."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"cannot write --csv {path}: {exc.strerror}")
+
+
+def sweep(kind, params, trials, seed, points):
     rows = []
-    for eta in np.linspace(0.0, 1.0, args.points):
-        stats = cli.sample_report(kind, params, float(eta), args.trials, args.seed)["stats"]
+    for eta in np.linspace(0.0, 1.0, points):
+        stats = cli.sample_report(kind, params, float(eta), trials, seed)["stats"]
         predicted = eta * eta
-        sigma = math.sqrt(predicted * (1 - predicted) / args.trials) if 0 < predicted < 1 else 0.0
+        sigma = math.sqrt(predicted * (1 - predicted) / trials) if 0 < predicted < 1 else 0.0
         fid = stats["mean_fidelity_on_detected"]
         rows.append(
             {
@@ -48,15 +72,7 @@ def main():
                 "conditional_fidelity": "n/a" if fid is None else f"{fid:.12f}",
             }
         )
-
-    header = list(rows[0])
-    print("  ".join(f"{name:>20}" for name in header))
-    for row in rows:
-        print("  ".join(f"{row[name]:>20}" for name in header))
-
-    if args.csv:
-        cli._emit(parser, cli.csv_text(rows), args.csv)
-        print(f"wrote {args.csv}", file=sys.stderr)
+    return rows
 
 
 if __name__ == "__main__":

@@ -125,13 +125,21 @@ class BranchSampler:
     def __init__(self, kind: ProtocolKind, params: TargetParams):
         self.branches: tuple[BranchReport, ...] = run_protocol(kind, params)
         self._cumulative = np.cumsum([branch.probability for branch in self.branches])
+        self._index_dtype = np.min_scalar_type(len(self.branches) - 1)
 
     def draw_many(self, uniforms: np.ndarray) -> np.ndarray:
-        """Vectorized branch indices for an array of uniforms in [0, 1)."""
-        return np.minimum(
-            np.searchsorted(self._cumulative, uniforms, side="right"),
-            len(self.branches) - 1,
-        )
+        """Vectorized branch indices for an array of uniforms in [0, 1).
+
+        A uniform's index is the number of cumulative branch edges ≤ u, the
+        last edge left out.  Because the cumulative table never decreases,
+        that count is ``min(searchsorted(cumulative, u, side="right"), B - 1)``
+        for B branches: the same draw, without the binary search.
+        """
+        uniforms = np.ascontiguousarray(uniforms)
+        indices = np.zeros(uniforms.shape, dtype=self._index_dtype)
+        for edge in self._cumulative[:-1]:
+            indices += edge <= uniforms
+        return indices
 
 
 def sample_with_loss(
@@ -157,10 +165,10 @@ def sample_with_loss(
     detected = 0
     fidelity_sum = 0.0
     for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
-        u = chunk_uniforms(seed, trials, chunk_index)
-        indices = sampler.draw_many(u[:, 0])
-        clicks = (u[:, 1] < eta_d) & (u[:, 2] < eta_d)
-        detected += int(clicks.sum())
+        outcome, sender, receiver = chunk_uniforms(seed, trials, chunk_index).T
+        indices = sampler.draw_many(outcome)
+        clicks = (sender < eta_d) & (receiver < eta_d)
+        detected += int(np.count_nonzero(clicks))
         fidelity_sum += float(fidelities[indices[clicks]].sum())
     mean_fidelity = fidelity_sum / detected if detected else float("nan")
     return SampleStats(

@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hyper_rsp.runtime import (
     PAYLOAD_BITS,
     BranchSampler,
     ChannelMessage,
+    SampleStats,
     chunk_generator,
     chunk_uniforms,
     decode_outcome,
@@ -21,7 +23,8 @@ from hyper_rsp.runtime import (
     message_to_bytes,
     sample_with_loss,
 )
-from hyper_rsp.protocols import outcome_registry
+from hyper_rsp.cli import random_params
+from hyper_rsp.protocols import outcome_registry, run_protocol
 from hyper_rsp.states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError
 
 PF = ProtocolKind.PF
@@ -107,17 +110,68 @@ def test_outcome_frequencies_within_three_sigma(kind, generic_params):
         assert abs(count / trials - p) < 3 * sigma, outcome
 
 
-def test_draw_many_matches_running_sum_bisect(generic_params, rng):
-    """Reference: a bisect over the branch probabilities summed one by one."""
-    sampler = BranchSampler(TB, generic_params)
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_draw_many_matches_running_sum_bisect(kind, generic_params, rng):
+    """Reference: a bisect over the branch probabilities summed one by one,
+    probed at every edge (the last one exercises the clamp) and just below it."""
+    sampler = BranchSampler(kind, generic_params)
     edges, total = [], 0.0
     for branch in sampler.branches:
         total += branch.probability
         edges.append(total)
-    inner = np.array(edges[:-1])
-    uniforms = np.concatenate([inner, np.nextafter(inner, 0.0), rng.random(1000)])
+    probes = np.array(edges + [np.nextafter(1.0, 0.0)])
+    uniforms = np.concatenate([probes, np.nextafter(probes, 0.0), rng.random(1000)])
     expected = [min(bisect.bisect_right(edges, u), len(edges) - 1) for u in uniforms]
     assert sampler.draw_many(uniforms).tolist() == expected
+
+
+def reference_sample(kind, params, eta_d, trials, seed):
+    """Reference sampling loop: a clamped ``searchsorted`` outcome draw and a
+    boolean gather of branch fidelities, chunk by chunk.  Returns the run's
+    stats and each chunk's outcome counts."""
+    branches = run_protocol(kind, params)
+    cumulative = np.cumsum([branch.probability for branch in branches])
+    fidelities = np.array([branch.fidelity_post for branch in branches])
+    detected, fidelity_sum, chunk_counts = 0, 0.0, []
+    for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
+        u = chunk_uniforms(seed, trials, chunk_index)
+        indices = np.minimum(
+            np.searchsorted(cumulative, u[:, 0], side="right"), len(branches) - 1
+        )
+        clicks = (u[:, 1] < eta_d) & (u[:, 2] < eta_d)
+        detected += int(clicks.sum())
+        fidelity_sum += float(fidelities[indices[clicks]].sum())
+        chunk_counts.append(np.bincount(indices, minlength=len(branches)))
+    stats = SampleStats(
+        protocol=kind,
+        eta_d=eta_d,
+        trials=trials,
+        detected=detected,
+        success_rate=detected / trials,
+        mean_fidelity_on_detected=fidelity_sum / detected if detected else float("nan"),
+        seed=seed,
+    )
+    return stats, chunk_counts
+
+
+@pytest.mark.parametrize("eta_d", [0.0, 0.37, 0.8, 1.0])
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_sample_with_loss_equals_reference_loop(kind, eta_d):
+    """Bit-identical stats and per-chunk outcome counts, short last chunk
+    included, on a target whose branch fidelities are not all exactly 1.0."""
+    params, seed, trials = random_params(5), 41, 2 * CHUNK_TRIALS + 77
+    sampler = BranchSampler(kind, params)
+    assert any(branch.fidelity_post != 1.0 for branch in sampler.branches)
+    expected, expected_counts = reference_sample(kind, params, eta_d, trials, seed)
+    stats = sample_with_loss(kind, params, eta_d, trials, seed)
+    if expected.detected == 0:
+        assert math.isnan(stats.mean_fidelity_on_detected)
+        stats = replace(stats, mean_fidelity_on_detected=expected.mean_fidelity_on_detected)
+    assert stats == expected
+    for chunk_index, counts in enumerate(expected_counts):
+        outcomes = chunk_uniforms(seed, trials, chunk_index)[:, 0]
+        drawn = np.bincount(sampler.draw_many(outcomes), minlength=len(sampler.branches))
+        assert drawn.tolist() == counts.tolist()
 
 
 def test_chunk_generator_seed_range():

@@ -51,7 +51,7 @@ def test_out_of_range_seed_usage_error(script, seed):
         ("loss_sweep.py", ("--trials", "0"), "--trials must be positive, got 0"),
         ("loss_sweep.py", ("--points", "0"), "--points must be positive, got 0"),
         ("loss_sweep.py", ("--points", "2", "--trials", "100", "--csv", "/nonexistent/dir/x.csv"),
-         "/nonexistent/dir/x.csv: No such file or directory"),
+         "cannot write --csv /nonexistent/dir/x.csv: No such file or directory"),
         ("reproduce_tables.py", ("--trials", "-5"), "--trials must not be negative, got -5"),
         ("reproduce_tables.py", ("--params", "2", "0", "1", "0"),
          "pol coefficient 2.0 outside [-1, 1]"),
@@ -65,6 +65,7 @@ def test_bad_count_usage_error(script, args, message):
     assert "usage:" in result.stderr
     assert message in result.stderr
     assert "Traceback" not in result.stderr
+    assert result.stdout == ""  # rejected before any work, e.g. a sweep row
 
 
 def test_reproduce_tables_bad_pair_names_both_uses_of_the_second_pair():
@@ -97,7 +98,10 @@ def test_reproduce_tables_accepts_negative_exponent_params():
     assert result.stdout.count("verdict: PASS") == 2
 
 
-def test_loss_sweep_runs():
-    result = run_script("loss_sweep.py", "--points", "3", "--trials", "2000")
+def test_loss_sweep_runs(tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    result = run_script("loss_sweep.py", "--points", "3", "--trials", "2000", "--csv", str(csv_path))
     assert result.returncode == 0, result.stderr
     assert len(result.stdout.splitlines()) == 4
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("eta_d,") and len(lines) == 4
