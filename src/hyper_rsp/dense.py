@@ -10,17 +10,21 @@ photon's own ket and layout, and the canonical order puts photon A's registers
 first, so the full two-photon matrix is M ⊗ I (photon A) or I ⊗ M (photon B) on
 the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isometry
 defect.  Agreement with the sparse application, and unitarity of every matrix,
-are the verification currency of the test suite.
+are the verification currency of the test suite.  numpy is imported on first
+use, inside each function that computes with it and never at module level, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .elements import Element
 from .states import Schema, StateVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUPPORT_TOL = 1e-12
 
@@ -41,6 +45,8 @@ class DenseElement:
 def state_to_vector(state: StateVector) -> np.ndarray:
     """Amplitudes in canonical lexicographic order: label (a, b) sits at
     i_A(a) · dim B + i_B(b)."""
+    import numpy as np
+
     a_index, b_index = state.schema.layout("A").index, state.schema.layout("B").index
     vec = np.zeros(state.schema.dimension(), dtype=complex)
     for (a, b), amp in state.items():
@@ -49,12 +55,16 @@ def state_to_vector(state: StateVector) -> np.ndarray:
 
 
 def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
+    import numpy as np
+
     labels = schema.labels()
     return StateVector.build(schema, {labels[i]: vec[i] for i in np.flatnonzero(np.abs(vec))})
 
 
 def element_to_dense(element: Element, schema: Schema) -> DenseElement:
     """Lower one element to its matrix over its own photon's domain kets."""
+    import numpy as np
+
     layout = schema.layout(element.photon)
     element.validate(layout)
     out_schema = element.output_schema(schema)
@@ -73,6 +83,8 @@ def element_to_dense(element: Element, schema: Schema) -> DenseElement:
 
 def unitarity_defect(element: Element, schema: Schema) -> float:
     """max |U†U - I| over the element's domain; 0 for an exact isometry."""
+    import numpy as np
+
     dense = element_to_dense(element, schema)
     gram = dense.matrix.conj().T @ dense.matrix
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
@@ -80,6 +92,8 @@ def unitarity_defect(element: Element, schema: Schema) -> float:
 
 def is_signed_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """True when every column holds exactly one entry of magnitude one."""
+    import numpy as np
+
     for column in matrix.T:
         magnitudes = np.abs(column)
         big = magnitudes > tol
@@ -96,6 +110,8 @@ def apply_dense(element: Element, vec: np.ndarray, schema: Schema) -> tuple[np.n
     supported on the element's domain; amplitude outside it means a
     precondition was violated upstream.
     """
+    import numpy as np
+
     dense = element_to_dense(element, schema)
     grid = vec.reshape(len(schema.layout("A").kets), -1)
     if element.photon == "B":
@@ -124,4 +140,6 @@ def evolve_dense(elements, state: StateVector) -> tuple[np.ndarray, Schema]:
 
 def max_deviation(state: StateVector, vec: np.ndarray) -> float:
     """Entrywise gap between a sparse state and a canonical dense vector."""
+    import numpy as np
+
     return float(np.max(np.abs(state_to_vector(state) - vec)))

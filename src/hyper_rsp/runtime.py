@@ -12,17 +12,23 @@ chunk's trials are a pure function of (seed, chunk index).  Results are
 identical across platforms and independent of how chunks are distributed over
 workers.  Each trial consumes three uniforms, in column order: outcome draw,
 sender's detector, receiver's detector.  Seeds lie in [0, 2^64).
+
+numpy is imported on first use, inside each function that computes with it and
+never at module level, so the codec and ``PAYLOAD_BITS`` (all that ``verify``
+and ``efficiency`` use of this module) load without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .protocols import BranchReport, outcome_registry, run_protocol
 from .states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 WIRE_VERSION = 1
 CHUNK_TRIALS = 1 << 14
@@ -104,6 +110,8 @@ def message_from_bytes(frame: bytes) -> ChannelMessage:
 
 def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
     """The documented per-chunk stream: Philox keyed by (seed, chunk index)."""
+    import numpy as np
+
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([seed, chunk_index], dtype=np.uint64)
@@ -123,6 +131,8 @@ class BranchSampler:
     """Exact branch table of one protocol, ready for repeated outcome draws."""
 
     def __init__(self, kind: ProtocolKind, params: TargetParams):
+        import numpy as np
+
         self.branches: tuple[BranchReport, ...] = run_protocol(kind, params)
         self._cumulative = np.cumsum([branch.probability for branch in self.branches])
         self._index_dtype = np.min_scalar_type(len(self.branches) - 1)
@@ -135,6 +145,8 @@ class BranchSampler:
         that count is ``min(searchsorted(cumulative, u, side="right"), B - 1)``
         for B branches: the same draw, without the binary search.
         """
+        import numpy as np
+
         uniforms = np.ascontiguousarray(uniforms)
         indices = np.zeros(uniforms.shape, dtype=self._index_dtype)
         for edge in self._cumulative[:-1]:
@@ -156,6 +168,8 @@ def sample_with_loss(
     detection the protocol is unchanged: the recorded fidelity per detected
     trial is the exact branch fidelity, which is 1 for the ideal circuits.
     """
+    import numpy as np
+
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"detector efficiency must lie in [0, 1], got {eta_d}")
     if trials < 1:
@@ -170,7 +184,8 @@ def sample_with_loss(
         clicks = (sender < eta_d) & (receiver < eta_d)
         detected += int(np.count_nonzero(clicks))
         fidelity_sum += float(fidelities[indices[clicks]].sum())
-    mean_fidelity = fidelity_sum / detected if detected else float("nan")
+    # the math.nan singleton, so that two runs with no detection compare equal
+    mean_fidelity = fidelity_sum / detected if detected else math.nan
     return SampleStats(
         protocol=kind,
         eta_d=eta_d,
