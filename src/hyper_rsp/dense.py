@@ -10,9 +10,16 @@ photon's own ket and layout, and the canonical order puts photon A's registers
 first, so the full two-photon matrix is M ⊗ I (photon A) or I ⊗ M (photon B) on
 the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isometry
 defect.  Agreement with the sparse application, and unitarity of every matrix,
-are the verification currency of the test suite.  numpy is imported on first
-use, inside each function that computes with it and never at module level, so
-importing this module does not load it.
+are the verification currency of the test suite.
+
+Each element instance is lowered once per schema.  The lowering is kept in the
+element's instance ``__dict__`` (as :func:`functools.cached_property` does) and
+is read-only, so it lives exactly as long as its element and a later call is a
+lookup.  That is valid because elements are frozen and ``ket_image`` is a pure
+function of (element, layout).
+
+numpy is imported on first use, inside each function that computes with it and
+never at module level, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .elements import Element
-from .states import Schema, StateVector
+from .states import Schema, SchemaMismatchError, StateVector
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,14 +38,14 @@ SUPPORT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DenseElement:
-    """An element lowered to an explicit matrix on its own photon.
+    """An element lowered to an explicit, read-only matrix on its own photon.
 
     ``in_kets`` are the photon's domain kets (value tuples), ordered
     canonically; ``out_schema`` is the full two-photon schema after the element.
     """
 
     matrix: np.ndarray
-    in_kets: list[tuple]
+    in_kets: tuple[tuple, ...]
     out_schema: Schema
 
 
@@ -62,7 +69,17 @@ def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
 
 
 def element_to_dense(element: Element, schema: Schema) -> DenseElement:
-    """Lower one element to its matrix over its own photon's domain kets."""
+    """Lower one element to its matrix over its own photon's domain kets.
+
+    One lowering per element instance and schema: the first call builds it and
+    keeps it on the element, every later call returns the same read-only
+    object.  Elements are frozen and ``ket_image`` is a pure function of
+    (element, layout), so the kept lowering cannot go stale.
+    """
+    lowerings = element.__dict__.setdefault("_dense_lowerings", {})
+    lowering = lowerings.get(schema)
+    if lowering is not None:
+        return lowering
     import numpy as np
 
     layout = schema.layout(element.photon)
@@ -78,7 +95,10 @@ def element_to_dense(element: Element, schema: Schema) -> DenseElement:
     for j, (_, images) in enumerate(columns):
         for image, coeff in images:
             matrix[out_layout.index[image], j] += coeff
-    return DenseElement(matrix, [ket for ket, _ in columns], out_schema)
+    matrix.flags.writeable = False
+    lowering = DenseElement(matrix, tuple(ket for ket, _ in columns), out_schema)
+    lowerings[schema] = lowering
+    return lowering
 
 
 def unitarity_defect(element: Element, schema: Schema) -> float:
@@ -139,7 +159,14 @@ def evolve_dense(elements, state: StateVector) -> tuple[np.ndarray, Schema]:
 
 
 def max_deviation(state: StateVector, vec: np.ndarray) -> float:
-    """Entrywise gap between a sparse state and a canonical dense vector."""
+    """Entrywise gap between a sparse state and a canonical dense vector.
+
+    Raises :class:`SchemaMismatchError` unless ``vec`` is one-dimensional with
+    the schema's dimension, so a wrong-length vector is never broadcast.
+    """
     import numpy as np
 
+    expected = (state.schema.dimension(),)
+    if np.shape(vec) != expected:
+        raise SchemaMismatchError(f"vector of shape {np.shape(vec)}, expected {expected}")
     return float(np.max(np.abs(state_to_vector(state) - vec)))

@@ -76,15 +76,52 @@ def rotation_angle(alpha: float, beta: float) -> float:
     return math.atan2(beta, alpha)
 
 
+#: Each circuit's target-independent optics by stage name, built once per
+#: process: every circuit of one kind shares these instances, and with them the
+#: dense lowerings kept on them.
+_FIXED_OPTICS: dict[ProtocolKind, dict[str, Element]] = {
+    ProtocolKind.PF: {
+        "router": WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, PF_PATHS),
+        "eraser": FrequencyEraser("A", {"a1": "w1", "a2": "w2"}),
+    },
+    ProtocolKind.TB: {
+        "entry_pbs": PolarizingRouter("A", {"H": "a2", "V": "a1"}, registry=TB_PATHS),
+        "early_cell_a2": PockelsCell("A", paths=("a2",), time_value=0),
+        "late_cell_a1": PockelsCell("A", paths=("a1",), time_value=1),
+        "crossing_pbs": PolarizingRouter("A", {("H", "a1"): "a2", ("V", "a1"): "a1",
+                                               ("H", "a2"): "a1", ("V", "a2"): "a2"}),
+        "entry_a1": PolarizingRouter("A", {("H", "a1"): "k1", ("V", "a1"): "k2"}),
+        "entry_a2": PolarizingRouter("A", {("H", "a2"): "k4", ("V", "a2"): "k3"}),
+        "delay_k2": LongArmDelay("A", "k2", "V"),
+        "delay_k3": LongArmDelay("A", "k3", "V"),
+        "exit_k12": PolarizingRouter("A", {("H", "k1"): "k1", ("V", "k1"): "k2",
+                                           ("H", "k2"): "k2", ("V", "k2"): "k1"}),
+        "exit_k34": PolarizingRouter("A", {("H", "k3"): "k3", ("V", "k3"): "k4",
+                                           ("H", "k4"): "k4", ("V", "k4"): "k3"}),
+        "drop_time": DropUniformRegister("A", "time", expected_value=1),
+        "flip_k1": HalfWavePlate("A", ("k1",)),
+        "flip_k2": HalfWavePlate("A", ("k2",)),
+        "splitter_k14": BalancedSplitter("A", ("k1", "k4"), ("kp1", "kp4")),
+        "splitter_k23": BalancedSplitter("A", ("k2", "k3"), ("kp2", "kp3")),
+    },
+}
+
+
 def build_circuit(kind: ProtocolKind, params: TargetParams) -> tuple[Element, ...]:
-    """The ordered element list photon A traverses before detection."""
+    """The ordered element list photon A traverses before detection.
+
+    Only the rotations depend on the target and are built on each call; the
+    target-independent optics are shared instances from ``_FIXED_OPTICS``,
+    the same objects in every circuit of one kind.
+    """
     theta = rotation_angle(params.alpha0, params.beta0)
+    fixed = _FIXED_OPTICS[kind]
     if kind is ProtocolKind.PF:
         phi = 2.0 * rotation_angle(params.alpha1, params.beta1)
         return (
             PolarizationRotation("A", theta),
-            WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, PF_PATHS),
-            FrequencyEraser("A", {"a1": "w1", "a2": "w2"}),
+            fixed["router"],
+            fixed["eraser"],
             UnbalancedSplitter("A", ("a1", "a2"), phi),
         )
     theta1 = rotation_angle(params.alpha2, params.beta2)
@@ -92,30 +129,27 @@ def build_circuit(kind: ProtocolKind, params: TargetParams) -> tuple[Element, ..
     return (
         PolarizationRotation("A", theta),
         # Entry PBS: transmit H to a2, reflect V to a1.
-        PolarizingRouter("A", {"H": "a2", "V": "a1"}, registry=TB_PATHS),
-        PockelsCell("A", paths=("a2",), time_value=0),
-        PockelsCell("A", paths=("a1",), time_value=1),
+        fixed["entry_pbs"],
+        fixed["early_cell_a2"],
+        fixed["late_cell_a1"],
         # Crossing PBS: H swaps paths, V stays.
-        PolarizingRouter("A", {("H", "a1"): "a2", ("V", "a1"): "a1",
-                               ("H", "a2"): "a1", ("V", "a2"): "a2"}),
+        fixed["crossing_pbs"],
         # Interferometer entries: short (H) arm k1/k4, long (V) arm k2/k3.
-        PolarizingRouter("A", {("H", "a1"): "k1", ("V", "a1"): "k2"}),
-        PolarizingRouter("A", {("H", "a2"): "k4", ("V", "a2"): "k3"}),
-        LongArmDelay("A", "k2", "V"),
-        LongArmDelay("A", "k3", "V"),
+        fixed["entry_a1"],
+        fixed["entry_a2"],
+        fixed["delay_k2"],
+        fixed["delay_k3"],
         PolarizationRotation("A", theta1, paths=("k1", "k4")),
         PolarizationRotation("A", theta2, paths=("k2", "k3")),
         # Interferometer exits: H transmits straight, V crosses arms.
-        PolarizingRouter("A", {("H", "k1"): "k1", ("V", "k1"): "k2",
-                               ("H", "k2"): "k2", ("V", "k2"): "k1"}),
-        PolarizingRouter("A", {("H", "k3"): "k3", ("V", "k3"): "k4",
-                               ("H", "k4"): "k4", ("V", "k4"): "k3"}),
+        fixed["exit_k12"],
+        fixed["exit_k34"],
         # Both arms now sit in the same bin; the mark carries no information.
-        DropUniformRegister("A", "time", expected_value=1),
-        HalfWavePlate("A", ("k1",)),
-        HalfWavePlate("A", ("k2",)),
-        BalancedSplitter("A", ("k1", "k4"), ("kp1", "kp4")),
-        BalancedSplitter("A", ("k2", "k3"), ("kp2", "kp3")),
+        fixed["drop_time"],
+        fixed["flip_k1"],
+        fixed["flip_k2"],
+        fixed["splitter_k14"],
+        fixed["splitter_k23"],
     )
 
 

@@ -1,5 +1,6 @@
 """Sparse label rewrites against explicit dense matrices in canonical ordering."""
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -28,14 +29,18 @@ from hyper_rsp.elements import (
     LongArmDelay,
     PauliOp,
     PockelsCell,
+    PolarizationRotation,
     PolarizingRouter,
+    UnbalancedSplitter,
     WavelengthRouter,
     all_pauli_strings,
 )
 from hyper_rsp.protocols import TB_PATHS, build_circuit
 from hyper_rsp.states import (
+    PARAM_TOL,
     ProtocolKind,
     Schema,
+    SchemaMismatchError,
     StateVector,
     TargetParams,
     hyper_bell_schema,
@@ -111,6 +116,14 @@ def test_whole_circuit_dense_route(params):
         assert max_deviation(sparse, vec) < 1e-10
         roundtrip = vector_to_state(vec, schema)
         assert roundtrip.schema == sparse.schema
+
+
+@pytest.mark.parametrize(
+    "vec", [np.array([0.25 + 0j]), np.zeros((16, 1), dtype=complex)], ids=["length-1", "2-d"]
+)
+def test_max_deviation_rejects_a_vector_of_another_shape(vec):
+    with pytest.raises(SchemaMismatchError, match="shape"):
+        max_deviation(make_hyper_bell(PF), vec)
 
 
 def test_dense_vector_canonical_layout():
@@ -260,7 +273,7 @@ def test_pockels_cell_is_a_half_wave_plate_switched_on_in_one_bin():
         plate = element_to_dense(HalfWavePlate("A", paths), schema)
         for t in layout.register("time").values:
             cell = element_to_dense(PockelsCell("A", paths, t), schema)
-            assert cell.in_kets == plate.in_kets == list(layout.kets)
+            assert cell.in_kets == plate.in_kets == tuple(layout.kets)
             for j, ket in enumerate(layout.kets):
                 expected = plate.matrix[:, j] if ket[i_time] == t else identity[:, j]
                 assert np.array_equal(cell.matrix[:, j], expected), (paths, t, ket)
@@ -301,7 +314,7 @@ class KeepV(Element):
 def test_both_routes_reject_exactly_where_the_ket_map_is_undefined(kind, photon):
     element, schema = KeepV(photon), hyper_bell_schema(kind)
     layout = schema.layout(photon)
-    defined = [ket for ket in layout.kets if ket[layout.positions["pol"]] == "V"]
+    defined = tuple(ket for ket in layout.kets if ket[layout.positions["pol"]] == "V")
     assert element_to_dense(element, schema).in_kets == defined
     basis = np.eye(schema.dimension())
     for i, label in enumerate(schema.labels()):
@@ -403,3 +416,60 @@ def test_rules_are_handed_only_their_own_photon(kind, photon):
     assert schema == sparse.schema
     assert max_deviation(sparse, vec) < 1e-10
     assert max_deviation(state, vec) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one lowering per element instance and schema
+
+
+def test_each_lowering_is_built_once_and_read_only():
+    plate = HalfWavePlate("A", ("k1",))
+    schema = _path_schema()
+    timed = _path_schema(time_register((0, 1)))
+    dense = element_to_dense(plate, schema)
+    assert element_to_dense(plate, schema) is dense
+    other = element_to_dense(plate, timed)
+    assert other is not dense and other.matrix.shape != dense.matrix.shape
+    assert element_to_dense(plate, timed) is other
+    assert isinstance(dense.in_kets, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        dense.matrix[0, 0] = 1.0
+
+
+ROTATIONS = (PolarizationRotation, UnbalancedSplitter)
+
+
+def crosscheck(kind, params):
+    """Dense route against the sparse one, and the isometry defect of every element."""
+    start = make_hyper_bell(kind)
+    circuit = build_circuit(kind, params)
+    vec, schema = evolve_dense(circuit, start)
+    sparse = start
+    defects = []
+    for element in circuit:
+        defects.append(unitarity_defect(element, sparse.schema))
+        sparse = element.apply(sparse)
+    assert schema == sparse.schema
+    return max_deviation(sparse, vec), defects
+
+
+def test_no_lowering_goes_stale_across_targets():
+    """A generic target first, then degenerate ones: every op of the crosscheck
+    must read its own rotations, not a lowering left by an earlier target."""
+    edge = math.sqrt(1.0 + 0.99 * PARAM_TOL)
+    targets = [
+        TargetParams.from_angles(0.3, 1.1, 2.0),
+        TargetParams(0.0, 1.0, -1.0, 0.0, 0.0, -1.0),  # every pair on an axis
+        TargetParams(1.0, 0.0, 0.6, 0.8, 0.28, 0.96),  # β = 0
+        TargetParams(edge * math.cos(0.7), edge * math.sin(0.7), 0.6, -0.8, -0.28, 0.96),
+    ]
+    for kind, fixed in ((PF, 2), (TB, 15)):
+        first = build_circuit(kind, targets[0])
+        for params in targets:
+            deviation, defects = crosscheck(kind, params)
+            assert deviation <= 1e-10, (kind, params)
+            assert max(defects) < 1e-12, (kind, params)
+            circuit = build_circuit(kind, params)
+            shared = [a is b for a, b in zip(first, circuit)]
+            assert shared == [not isinstance(e, ROTATIONS) for e in circuit]
+            assert sum(shared) == fixed
