@@ -12,11 +12,12 @@ the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isome
 defect.  Agreement with the sparse application, and unitarity of every matrix,
 are the verification currency of the test suite.
 
-Each element instance is lowered once per schema.  The lowering is kept in the
-element's instance ``__dict__`` (as :func:`functools.cached_property` does) and
-is read-only, so it lives exactly as long as its element and a later call is a
-lookup.  That is valid because elements are frozen and ``ket_image`` is a pure
-function of (element, layout).
+Each element instance is lowered once per schema, and the lowering is kept in
+the element's instance ``__dict__`` (as :func:`functools.cached_property` does):
+the read-only matrix, domain positions and out-of-domain mask, and the isometry
+defect, computed on first use.  It lives as long as its element, and it cannot
+go stale: elements are frozen and ``ket_image`` is a pure function of
+(element, layout).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so importing this module does not load it.
@@ -25,6 +26,7 @@ never at module level, so importing this module does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .elements import Element
@@ -47,6 +49,17 @@ class DenseElement:
     matrix: np.ndarray
     in_kets: tuple[tuple, ...]
     out_schema: Schema
+    #: read-only: the domain kets' canonical positions, and the mask of the rest
+    positions: np.ndarray
+    outside: np.ndarray
+
+    @cached_property
+    def defect(self) -> float:
+        """max |M†M − I| over the domain: the isometry defect, computed once."""
+        import numpy as np
+
+        gram = self.matrix.conj().T @ self.matrix
+        return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 def state_to_vector(state: StateVector) -> np.ndarray:
@@ -95,19 +108,20 @@ def element_to_dense(element: Element, schema: Schema) -> DenseElement:
     for j, (_, images) in enumerate(columns):
         for image, coeff in images:
             matrix[out_layout.index[image], j] += coeff
-    matrix.flags.writeable = False
-    lowering = DenseElement(matrix, tuple(ket for ket, _ in columns), out_schema)
+    in_kets = tuple(ket for ket, _ in columns)
+    positions = np.array([layout.index[ket] for ket in in_kets], dtype=np.intp)
+    outside = np.ones(len(layout.kets), dtype=bool)
+    outside[positions] = False
+    for array in (matrix, positions, outside):
+        array.flags.writeable = False
+    lowering = DenseElement(matrix, in_kets, out_schema, positions, outside)
     lowerings[schema] = lowering
     return lowering
 
 
 def unitarity_defect(element: Element, schema: Schema) -> float:
     """max |U†U - I| over the element's domain; 0 for an exact isometry."""
-    import numpy as np
-
-    dense = element_to_dense(element, schema)
-    gram = dense.matrix.conj().T @ dense.matrix
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    return element_to_dense(element, schema).defect
 
 
 def is_signed_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
@@ -136,14 +150,10 @@ def apply_dense(element: Element, vec: np.ndarray, schema: Schema) -> tuple[np.n
     grid = vec.reshape(len(schema.layout("A").kets), -1)
     if element.photon == "B":
         grid = grid.T
-    own_index = schema.layout(element.photon).index
-    domain_positions = [own_index[ket] for ket in dense.in_kets]
-    keep = np.zeros(len(own_index), dtype=bool)
-    keep[domain_positions] = True
-    stray = np.abs(grid[~keep])
+    stray = np.abs(grid[dense.outside])
     if stray.size and stray.max() > SUPPORT_TOL:
         raise ValueError("state has amplitude outside the element's legal domain")
-    out = dense.matrix @ grid[domain_positions]
+    out = dense.matrix @ grid[dense.positions]
     if element.photon == "B":
         out = out.T
     return out.reshape(-1), dense.out_schema

@@ -6,7 +6,10 @@ checks the registers, ``output_registers`` names them after the element, and
 ``ket_image`` declares the action per ket (the photon's value tuple).
 Application splits each two-photon label once, extends the map linearly over the
 state's support, and ends with pruning and a norm check.  A hook never sees the
-other photon, so every element is M ⊗ I (or I ⊗ M) by construction.
+other photon, so every element is M ⊗ I (or I ⊗ M) by construction.  Each element
+keeps its sparse lowering per schema in its instance ``__dict__``: the validated
+layout, the output schema and each ket's images, computed on first use.  It cannot
+go stale: elements are frozen and every hook is a pure function of (element, layout).
 The same ket images feed the dense matrix route in :mod:`hyper_rsp.dense`,
 which independently checks unitarity and matrix-vector equivalence.
 
@@ -66,6 +69,9 @@ PAULI_AXES = tuple(_PAULI_ACTIONS)
 #: dof tag used in operator names, per register
 _DOF_TAGS = {"pol": "p", "freq": "f", "time": "t", "path": "s"}
 
+#: A ket the sparse memo has not imaged yet (a kept ``None`` is "outside the domain")
+_UNSEEN = object()
+
 
 class CorrelationError(ValueError):
     """A rewrite that is only unitary on correlated labels met an illegal state."""
@@ -102,6 +108,12 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.compact()
+
+    @functools.cached_property
+    def receiver_op(self) -> PauliOp:
+        """The one element applying this correction to the receiver's photon B,
+        so its kept lowerings serve every later correction by this string."""
+        return PauliOp("B", self)
 
 
 @dataclass(frozen=True)
@@ -145,16 +157,27 @@ class Element:
             return Schema(registers, schema.photon_b)
         return Schema(schema.photon_a, registers)
 
+    def _lowered(self, schema: Schema) -> tuple[Layout, Schema, dict]:
+        """The sparse lowering on ``schema``, kept once ``validate`` passes: the
+        layout, the output schema and a ket → images memo filled on first use."""
+        lowerings = self.__dict__.setdefault("_sparse_lowerings", {})
+        lowering = lowerings.get(schema)
+        if lowering is None:
+            layout = schema.layout(self.photon)
+            self.validate(layout)
+            lowering = lowerings[schema] = (layout, self.output_schema(schema), {})
+        return lowering
+
     def apply(self, state: StateVector) -> StateVector:
         schema = state.schema
-        layout = schema.layout(self.photon)
-        self.validate(layout)
-        out_schema = self.output_schema(schema)
+        layout, out_schema, memo = self._lowered(schema)
         on_a = self.photon == "A"
         acc: dict[Label, complex] = {}
         for label, amp in state.items():
             ket, rest = label if on_a else label[::-1]
-            images = self.ket_image(ket, layout)
+            images = memo.get(ket, _UNSEEN)
+            if images is _UNSEEN:
+                images = memo[ket] = self.ket_image(ket, layout)
             if images is None:
                 raise CorrelationError(
                     f"{type(self).__name__}: ket {schema.format_label(label)} lies "
@@ -496,9 +519,10 @@ def _pauli_images(
     """One correction's signed permutation of the layout's canonical kets, built
     from ``_PAULI_ACTIONS``.
 
-    Keyed by the factor tuple, since every candidate of the correction search
-    is a fresh PauliOp, and a tuple of strings hashes without a Python call;
-    bounded by the number of schemas times two photons times 16.  The build
+    Cached, so :meth:`PauliOp.ket_image` is a lookup for every ket; keyed by
+    the factor tuple, which hashes without a Python call, so equal strings
+    share one table; bounded by the number of schemas times two photons times
+    16.  The build
     checks that every factor's register exists and is two-valued, so
     :meth:`PauliOp.validate` is a cached lookup; an invalid layout raises on
     every call, since the cache keeps no exceptions.

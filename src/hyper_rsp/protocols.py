@@ -36,7 +36,6 @@ from .elements import (
     FrequencyEraser,
     HalfWavePlate,
     LongArmDelay,
-    PauliOp,
     PauliString,
     PockelsCell,
     PolarizationRotation,
@@ -48,6 +47,7 @@ from .elements import (
 from .states import (
     Outcome,
     ProtocolKind,
+    SchemaMismatchError,
     StateVector,
     TargetParams,
     UnknownDetectorError,
@@ -229,7 +229,7 @@ def run_protocol(kind: ProtocolKind, params: TargetParams) -> tuple[BranchReport
         if bob_pre is None:
             raise RuntimeError(f"branch {outcome} unexpectedly empty")
         correction = correction_table(kind, outcome)
-        bob_post = PauliOp("B", correction).apply(bob_pre)
+        bob_post = correction.receiver_op.apply(bob_pre)
         reports.append(
             BranchReport(
                 outcome=outcome,
@@ -257,16 +257,18 @@ def derive_correction(bob_state: StateVector, target: StateVector) -> Correction
     Returns every candidate with fidelity 1 within tolerance, in a fixed
     enumeration order; at generic parameters exactly one survives.  Raises
     :class:`CorrectionNotFoundError` when none does, which signals an
-    inconsistent table or sign convention rather than a sampling fluke.
+    inconsistent table or sign convention rather than a sampling fluke, and
+    :class:`SchemaMismatchError` when the two schemas differ or the receiver
+    does not hold exactly two registers.
     """
     if bob_state.schema != target.schema:
-        raise ValueError("collapsed state and target must share one schema")
+        raise SchemaMismatchError("collapsed state and target must share one schema")
     register_names = tuple(r.name for r in target.schema.photon_b)
     if len(register_names) != 2:
-        raise ValueError("correction search expects a two-register receiver photon")
+        raise SchemaMismatchError("correction search expects a two-register receiver photon")
     matches = []
     for candidate in all_pauli_strings(register_names):
-        corrected = PauliOp("B", candidate).apply(bob_state)
+        corrected = candidate.receiver_op.apply(bob_state)
         if fidelity(corrected, target) >= 1.0 - FIDELITY_TOL:
             matches.append(candidate)
     if not matches:

@@ -246,9 +246,11 @@ class StateVector:
         normalize: bool = False,
     ) -> "StateVector":
         """Validate every label, prune tiny amplitudes, and enforce unit norm."""
+        if not schema._label_set.issuperset(amplitudes):
+            for label in amplitudes:  # find the label at fault for the message
+                schema.validate_label(label)
         pruned: dict[Label, complex] = {}
         for label, amp in amplitudes.items():
-            schema.validate_label(label)
             amp = complex(amp)
             if abs(amp) < PRUNE_TOL:
                 continue
@@ -393,8 +395,9 @@ def fidelity(s: StateVector, t: StateVector) -> float:
     if s.schema != t.schema:
         raise SchemaMismatchError("fidelity requires matching schemas")
     overlap = 0j
+    t_amplitude = t.amplitudes.get
     for label, amp in s.items():
-        overlap += t.amplitude(label).conjugate() * amp
+        overlap += t_amplitude(label, 0j).conjugate() * amp
     return abs(overlap) ** 2
 
 

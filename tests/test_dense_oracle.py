@@ -473,3 +473,32 @@ def test_no_lowering_goes_stale_across_targets():
             shared = [a is b for a, b in zip(first, circuit)]
             assert shared == [not isinstance(e, ROTATIONS) for e in circuit]
             assert sum(shared) == fixed
+
+
+@pytest.mark.parametrize("kind", [PF, TB])
+def test_kept_defect_positions_and_mask(kind):
+    """Every element's kept isometry defect is the Gram computation on its kept
+    matrix, and its domain positions and out-of-domain mask are read-only."""
+    for element, schema in walk_circuit(kind, TargetParams.from_angles(0.3, 1.1, 2.0)):
+        dense = element_to_dense(element, schema)
+        gram = dense.matrix.conj().T @ dense.matrix
+        assert dense.defect == float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+        assert unitarity_defect(element, schema) == dense.defect
+        index = schema.layout(element.photon).index
+        assert dense.positions.tolist() == [index[ket] for ket in dense.in_kets]
+        assert np.flatnonzero(~dense.outside).tolist() == dense.positions.tolist()
+        for array in (dense.positions, dense.outside):
+            assert array.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+
+
+def test_kept_mask_still_rejects_stray_amplitude():
+    routed = WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, ("a1", "a2")).apply(
+        make_hyper_bell(PF)
+    )
+    bad = FrequencyEraser("A", {"a1": "w2", "a2": "w1"})
+    assert element_to_dense(bad, routed.schema).outside.any()
+    for _ in range(2):  # the mask is read from the kept lowering both times
+        with pytest.raises(ValueError, match="outside the element's legal domain"):
+            apply_dense(bad, state_to_vector(routed), routed.schema)

@@ -1,5 +1,7 @@
 import cmath
 import math
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hyper_rsp.elements import (
     BalancedSplitter,
     CorrelationError,
     DropUniformRegister,
+    Element,
     FrequencyEraser,
     HalfWavePlate,
     LongArmDelay,
@@ -23,7 +26,7 @@ from hyper_rsp.elements import (
     WavelengthRouter,
     all_pauli_strings,
 )
-from hyper_rsp.protocols import TB_PATHS
+from hyper_rsp.protocols import TB_PATHS, build_circuit, run_protocol
 from hyper_rsp.states import (
     ProtocolKind,
     Schema,
@@ -600,3 +603,120 @@ def test_validate_rejects_non_isometric_tables(element, state):
         element.validate(state.schema.layout("A"))
     with pytest.raises(ValueError, match="same path|distinct"):
         element.apply(state)
+
+
+# ---------------------------------------------------------------------------
+# the sparse lowering kept on each element, per schema
+
+#: A generic target, then degenerate ones: β = 0, and every pair on an axis.
+MEMO_TARGETS = (
+    TargetParams.from_angles(0.3, 1.1, 2.0),
+    TargetParams(1.0, 0.0, 0.6, 0.8, 0.28, 0.96),
+    TargetParams(0.0, 1.0, -1.0, 0.0, 0.0, -1.0),
+)
+
+
+def reference_apply(element, state):
+    """The element's map with one ``ket_image`` call per support label and no
+    memo: what every ``apply`` must reproduce bit for bit."""
+    schema = state.schema
+    layout = schema.layout(element.photon)
+    element.validate(layout)
+    on_a = element.photon == "A"
+    acc = {}
+    for label, amp in state.items():
+        ket, rest = label if on_a else label[::-1]
+        images = element.ket_image(ket, layout)
+        assert images is not None, label
+        for image, coeff in images:
+            new_label = (image, rest) if on_a else (rest, image)
+            acc[new_label] = acc.get(new_label, 0j) + amp * coeff
+    return StateVector.build(element.output_schema(schema), acc)
+
+
+def exact(state):
+    """Labels in order and amplitudes by ``repr``, so signed zeros count."""
+    return state.schema, [(label, repr(amp)) for label, amp in state.items()]
+
+
+def assert_memo_is_bit_identical(element, state):
+    reference = exact(reference_apply(element, state))
+    first = exact(element.apply(state))
+    assert exact(element.apply(state)) == first == reference, element
+    assert exact(replace(element).apply(state)) == reference, element
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.PF, ProtocolKind.TB])
+@pytest.mark.parametrize("params", MEMO_TARGETS)
+def test_kept_ket_images_are_bit_identical(kind, params):
+    state = make_hyper_bell(kind)
+    for element in build_circuit(kind, params):
+        assert_memo_is_bit_identical(element, state)
+        state = element.apply(state)
+    target = make_target(params, kind)
+    for report in run_protocol(kind, params):
+        for string in all_pauli_strings(tuple(r.name for r in target.schema.photon_b)):
+            assert string.receiver_op is string.receiver_op
+            assert_memo_is_bit_identical(string.receiver_op, report.bob_state_pre)
+
+
+def test_one_element_keeps_one_lowering_per_schema():
+    plate = HalfWavePlate("A", ("a1",))
+    plain = two_path_state({(("H", "a1"), ("H",)): 1.0})
+    timed_schema = Schema(
+        (pol_register(), path_register(("a1", "a2")), time_register()), (pol_register(),)
+    )
+    timed = StateVector.build(timed_schema, {(("H", "a1", 1), ("H",)): 1.0})
+    for _ in range(2):
+        for state in (plain, timed):
+            assert exact(plate.apply(state)) == exact(reference_apply(plate, state))
+
+
+@dataclass(frozen=True)
+class Counted(Element):
+    """The identity except on ``refused``, counting its hook calls; its
+    ``validate`` fails on the first ``failures`` calls."""
+
+    refused: tuple = ()
+    failures: int = 0
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def validate(self, layout):
+        self.calls["validate"] += 1
+        if self.calls["validate"] <= self.failures:
+            raise SchemaMismatchError("not yet")
+
+    def ket_image(self, ket, layout):
+        self.calls[ket] += 1
+        return None if ket == self.refused else [(ket, 1.0 + 0j)]
+
+
+def test_a_failed_validate_is_not_kept():
+    state = two_path_state({(("H", "a1"), ("H",)): 1.0})
+    element = Counted("A", failures=2)
+    for _ in range(2):
+        with pytest.raises(SchemaMismatchError, match="not yet"):
+            element.apply(state)
+    assert element.apply(state) == state
+    assert element.apply(state) == state
+    # validated once it passed, each ket imaged once
+    assert element.calls == Counter({"validate": 3, ("H", "a1"): 1})
+
+
+def test_a_ket_outside_the_domain_raises_from_the_memo_too():
+    refused = ("V", "a2")
+    state = two_path_state({(("H", "a1"), ("H",)): 0.6, (refused, ("V",)): 0.8})
+    element = Counted("A", refused=refused)
+    message = r"Counted: ket \|V,a2>A\|V>B lies outside the element's legal domain"
+    for _ in range(3):
+        with pytest.raises(CorrelationError, match=message):
+            element.apply(state)
+    assert element.calls[refused] == 1
+    # and on a real optic: the eraser with its correlation swapped
+    routed = WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, ("a1", "a2")).apply(
+        make_hyper_bell(ProtocolKind.PF)
+    )
+    eraser = FrequencyEraser("A", {"a1": "w2", "a2": "w1"})
+    for _ in range(2):
+        with pytest.raises(CorrelationError, match="FrequencyEraser"):
+            eraser.apply(routed)

@@ -37,12 +37,15 @@ from hyper_rsp.states import (
     PARAM_TOL,
     Outcome,
     ProtocolKind,
+    Schema,
+    SchemaMismatchError,
     StateVector,
     TargetParams,
     UnknownDetectorError,
     fidelity,
     make_hyper_bell,
     make_target,
+    pol_register,
     receiver_schema,
 )
 
@@ -465,6 +468,15 @@ def test_search_fails_on_unreachable_state(generic_params):
     target = make_target(generic_params, PF)
     with pytest.raises(CorrectionNotFoundError):
         derive_correction(entangled, target)
+
+
+def test_search_rejects_mismatched_schemas_as_schema_errors(generic_params):
+    pf_target, tb_target = make_target(generic_params, PF), make_target(generic_params, TB)
+    with pytest.raises(SchemaMismatchError, match="share one schema"):
+        derive_correction(pf_target, tb_target)
+    one_register = StateVector.build(Schema((), (pol_register(),)), {((), ("H",)): 1.0})
+    with pytest.raises(SchemaMismatchError, match="two-register receiver"):
+        derive_correction(one_register, one_register)
 
 
 AXIS_PAIRS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
