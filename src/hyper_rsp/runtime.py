@@ -11,7 +11,9 @@ generator.  Trials are processed in fixed chunks of ``CHUNK_TRIALS``; chunk
 chunk's trials are a pure function of (seed, chunk index).  Results are
 identical across platforms and independent of how chunks are distributed over
 workers.  Each trial consumes three uniforms, in column order: outcome draw,
-sender's detector, receiver's detector.  Seeds lie in [0, 2^64).
+sender's detector, receiver's detector; only detected trials have their
+outcome drawn (an index depends on its own uniform alone, so each gets the
+index a draw over every trial would give it).  Seeds lie in [0, 2^64).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so the codec and ``PAYLOAD_BITS`` (all that ``verify``
@@ -167,6 +169,9 @@ def sample_with_loss(
     Bernoulli(η_d) draws, so the detection rate estimates η_d².  Conditioned on
     detection the protocol is unchanged: the recorded fidelity per detected
     trial is the exact branch fidelity, which is 1 for the ideal circuits.
+    The click mask comes first and only the detected trials' outcome uniforms,
+    in trial order, are drawn: the same indices and fidelity sum as a draw
+    over the whole chunk followed by post-selection.
     """
     import numpy as np
 
@@ -180,10 +185,10 @@ def sample_with_loss(
     fidelity_sum = 0.0
     for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
         outcome, sender, receiver = chunk_uniforms(seed, trials, chunk_index).T
-        indices = sampler.draw_many(outcome)
-        clicks = (sender < eta_d) & (receiver < eta_d)
-        detected += int(np.count_nonzero(clicks))
-        fidelity_sum += float(fidelities[indices[clicks]].sum())
+        clicks = np.maximum(sender, receiver) < eta_d
+        indices = sampler.draw_many(outcome.compress(clicks))
+        detected += indices.size
+        fidelity_sum += float(fidelities.take(indices).sum())
     # the math.nan singleton, so that two runs with no detection compare equal
     mean_fidelity = fidelity_sum / detected if detected else math.nan
     return SampleStats(

@@ -125,22 +125,24 @@ def test_draw_many_matches_running_sum_bisect(kind, generic_params, rng):
 
 
 def reference_sample(kind, params, eta_d, trials, seed):
-    """Reference sampling loop: a clamped ``searchsorted`` outcome draw and a
-    boolean gather of branch fidelities, chunk by chunk.  Returns the run's
-    stats and each chunk's outcome counts."""
+    """Reference sampling loop: a clamped ``searchsorted`` outcome draw over
+    every trial and a boolean gather of the detected trials' branch fidelities,
+    chunk by chunk.  Returns the run's stats, each chunk's outcome counts and
+    each chunk's detection count."""
     branches = run_protocol(kind, params)
     cumulative = np.cumsum([branch.probability for branch in branches])
     fidelities = np.array([branch.fidelity_post for branch in branches])
-    detected, fidelity_sum, chunk_counts = 0, 0.0, []
+    fidelity_sum, chunk_counts, chunk_detected = 0.0, [], []
     for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
         u = chunk_uniforms(seed, trials, chunk_index)
         indices = np.minimum(
             np.searchsorted(cumulative, u[:, 0], side="right"), len(branches) - 1
         )
         clicks = (u[:, 1] < eta_d) & (u[:, 2] < eta_d)
-        detected += int(clicks.sum())
+        chunk_detected.append(int(clicks.sum()))
         fidelity_sum += float(fidelities[indices[clicks]].sum())
         chunk_counts.append(np.bincount(indices, minlength=len(branches)))
+    detected = sum(chunk_detected)
     stats = SampleStats(
         protocol=kind,
         eta_d=eta_d,
@@ -150,25 +152,67 @@ def reference_sample(kind, params, eta_d, trials, seed):
         mean_fidelity_on_detected=fidelity_sum / detected if detected else math.nan,
         seed=seed,
     )
-    return stats, chunk_counts
+    return stats, chunk_counts, chunk_detected
 
 
-@pytest.mark.parametrize("eta_d", [0.0, 0.37, 0.8, 1.0])
+@pytest.mark.parametrize(
+    "eta_d, trials",
+    [(eta_d, 2 * CHUNK_TRIALS + 77) for eta_d in (0.0, 0.37, 0.8, 1.0)]
+    + [(0.01, 2 * CHUNK_TRIALS + 3)],
+    ids=["0.0", "0.37", "0.8", "1.0", "0.01-last-chunk-of-3"],
+)
 @pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
-def test_sample_with_loss_equals_reference_loop(kind, eta_d):
+def test_sample_with_loss_equals_reference_loop(kind, eta_d, trials):
     """Bit-identical stats (equal under ``==``, a run with no detection
     included) and per-chunk outcome counts, short last chunk included, on a
-    target whose branch fidelities are not all exactly 1.0."""
-    params, seed, trials = random_params(5), 41, 2 * CHUNK_TRIALS + 77
+    target whose branch fidelities are not all exactly 1.0.  At η_d = 0.01
+    some chunks detect trials and the 3-trial last one detects none."""
+    params, seed = random_params(5), 41
     sampler = BranchSampler(kind, params)
     assert any(branch.fidelity_post != 1.0 for branch in sampler.branches)
-    expected, expected_counts = reference_sample(kind, params, eta_d, trials, seed)
+    expected, expected_counts, chunk_detected = reference_sample(
+        kind, params, eta_d, trials, seed
+    )
+    if eta_d == 0.01:
+        assert chunk_detected[-1] == 0 and any(chunk_detected)
     stats = sample_with_loss(kind, params, eta_d, trials, seed)
     assert stats == expected
     for chunk_index, counts in enumerate(expected_counts):
         outcomes = chunk_uniforms(seed, trials, chunk_index)[:, 0]
         drawn = np.bincount(sampler.draw_many(outcomes), minlength=len(sampler.branches))
         assert drawn.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize("eta_d", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_sample_with_loss_draws_once_per_chunk_and_only_detected(
+    kind, eta_d, generic_params, monkeypatch
+):
+    """The call graph the traced benchmark fixes: one ``draw_many`` per chunk,
+    given exactly the detected trials, and still called with an empty array
+    when a chunk detects nothing."""
+    sizes = []
+    draw_many = BranchSampler.draw_many
+
+    def spy(self, uniforms):
+        sizes.append(uniforms.size)
+        return draw_many(self, uniforms)
+
+    monkeypatch.setattr(BranchSampler, "draw_many", spy)
+    trials = 2 * CHUNK_TRIALS + 77
+    stats = sample_with_loss(kind, generic_params, eta_d, trials, seed=41)
+    assert len(sizes) == math.ceil(trials / CHUNK_TRIALS)
+    assert sum(sizes) == stats.detected
+    if eta_d == 0.0:
+        assert sizes == [0, 0, 0]
+
+
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_draw_many_of_no_uniforms_is_empty(kind, generic_params):
+    sampler = BranchSampler(kind, generic_params)
+    indices = sampler.draw_many(np.empty(0))
+    assert indices.shape == (0,)
+    assert indices.dtype == sampler.draw_many(np.array([0.5])).dtype
 
 
 def test_chunk_generator_seed_range():

@@ -12,6 +12,7 @@ import hyper_rsp
 from hyper_rsp.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_script(name, *args):
@@ -105,3 +106,12 @@ def test_loss_sweep_runs(tmp_path):
     assert len(result.stdout.splitlines()) == 4
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("eta_d,") and len(lines) == 4
+
+
+def test_loss_sweep_matches_golden_file():
+    """At 20,000 trials each 6-digit success rate is an exact detection count
+    (a multiple of 1/20000), at all 11 points, η_d = 0 and 1 included."""
+    result = run_script("loss_sweep.py", "--protocol", "tb", "--points", "11",
+                        "--trials", "20000", "--seed", "2")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode() == (GOLDEN / "loss_sweep_tb.txt").read_bytes()
