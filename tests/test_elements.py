@@ -1,7 +1,9 @@
 import cmath
+import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -658,6 +660,30 @@ def test_kept_ket_images_are_bit_identical(kind, params):
         for string in all_pauli_strings(tuple(r.name for r in target.schema.photon_b)):
             assert string.receiver_op is string.receiver_op
             assert_memo_is_bit_identical(string.receiver_op, report.bob_state_pre)
+
+
+#: SHA-256 of every stage's and every branch's exact amplitudes at MEMO_TARGETS
+BIT_EXACT_DIGEST = Path(__file__).parent / "golden" / "bit_exact.sha256"
+
+
+def test_every_stage_and_branch_is_bit_exact():
+    """Every label and amplitude ``repr`` of each circuit stage, and each
+    branch's probability and receiver states, for both protocols, hashed: the
+    12-digit goldens cannot see a last-ulp move in the norm or normalize step,
+    and ``reference_apply`` shares that step with ``apply``."""
+    digest = hashlib.sha256()
+    for kind in (ProtocolKind.PF, ProtocolKind.TB):
+        for params in MEMO_TARGETS:
+            state = make_hyper_bell(kind)
+            digest.update(repr(exact(state)).encode())
+            for element in build_circuit(kind, params):
+                state = element.apply(state)
+                digest.update(repr(exact(state)).encode())
+            for report in run_protocol(kind, params):
+                branch = (report.outcome, report.probability,
+                          exact(report.bob_state_pre), exact(report.bob_state_post))
+                digest.update(repr(branch).encode())
+    assert digest.hexdigest() == BIT_EXACT_DIGEST.read_text().strip()
 
 
 def test_one_element_keeps_one_lowering_per_schema():
