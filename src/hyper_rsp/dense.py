@@ -12,12 +12,12 @@ the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isome
 defect.  Agreement with the sparse application, and unitarity of every matrix,
 are the verification currency of the test suite.
 
-Each element instance is lowered once per schema, and the lowering is kept in
-the element's instance ``__dict__`` (as :func:`functools.cached_property` does):
-the read-only matrix, domain positions and out-of-domain mask, and the isometry
-defect, computed on first use.  It lives as long as its element, and it cannot
-go stale: elements are frozen and ``ket_image`` is a pure function of
-(element, layout).
+The dense view is kept on the element's one
+:class:`~hyper_rsp.elements.Lowering` per schema, the same one the sparse route
+keeps its ket images on, and is built from those images on first request: the
+read-only matrix, domain positions and out-of-domain mask, and the isometry
+defect.  It lives as long as its element, and it cannot go stale: elements are
+frozen and ``ket_image`` is a pure function of (element, layout).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so importing this module does not load it.
@@ -25,41 +25,15 @@ never at module level, so importing this module does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .elements import Element
+from .elements import Element, Lowering
 from .states import Schema, SchemaMismatchError, StateVector
 
 if TYPE_CHECKING:
     import numpy as np
 
 SUPPORT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DenseElement:
-    """An element lowered to an explicit, read-only matrix on its own photon.
-
-    ``in_kets`` are the photon's domain kets (value tuples), ordered
-    canonically; ``out_schema`` is the full two-photon schema after the element.
-    """
-
-    matrix: np.ndarray
-    in_kets: tuple[tuple, ...]
-    out_schema: Schema
-    #: read-only: the domain kets' canonical positions, and the mask of the rest
-    positions: np.ndarray
-    outside: np.ndarray
-
-    @cached_property
-    def defect(self) -> float:
-        """max |M†M − I| over the domain: the isometry defect, computed once."""
-        import numpy as np
-
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
 def state_to_vector(state: StateVector) -> np.ndarray:
@@ -81,41 +55,39 @@ def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
     return StateVector.build(schema, {labels[i]: vec[i] for i in np.flatnonzero(np.abs(vec))})
 
 
-def element_to_dense(element: Element, schema: Schema) -> DenseElement:
+def element_to_dense(element: Element, schema: Schema) -> Lowering:
     """Lower one element to its matrix over its own photon's domain kets.
 
-    One lowering per element instance and schema: the first call builds it and
-    keeps it on the element, every later call returns the same read-only
-    object.  Elements are frozen and ``ket_image`` is a pure function of
-    (element, layout), so the kept lowering cannot go stale.
+    The dense view is built once per element instance and schema, from the
+    images kept on the element's :class:`~hyper_rsp.elements.Lowering`, and
+    kept there: every later call returns the same lowering, read-only.
     """
-    lowerings = element.__dict__.setdefault("_dense_lowerings", {})
-    lowering = lowerings.get(schema)
-    if lowering is not None:
+    lowering = element.lowering(schema)
+    if lowering.matrix is not None:
         return lowering
     import numpy as np
 
-    layout = schema.layout(element.photon)
-    element.validate(layout)
-    out_schema = element.output_schema(schema)
-    out_layout = out_schema.layout(element.photon)
+    layout = lowering.layout
+    out_index = lowering.out_schema.layout(element.photon).index
     columns = [
         (ket, images)
         for ket in layout.kets
-        if (images := element.ket_image(ket, layout)) is not None
+        if (images := element.images(lowering, ket)) is not None
     ]
-    matrix = np.zeros((len(out_layout.kets), len(columns)), dtype=complex)
+    matrix = np.zeros((len(out_index), len(columns)), dtype=complex)
     for j, (_, images) in enumerate(columns):
         for image, coeff in images:
-            matrix[out_layout.index[image], j] += coeff
-    in_kets = tuple(ket for ket, _ in columns)
-    positions = np.array([layout.index[ket] for ket in in_kets], dtype=np.intp)
+            matrix[out_index[image], j] += coeff
+    positions = np.array([layout.index[ket] for ket, _ in columns], dtype=np.intp)
     outside = np.ones(len(layout.kets), dtype=bool)
     outside[positions] = False
     for array in (matrix, positions, outside):
         array.flags.writeable = False
-    lowering = DenseElement(matrix, in_kets, out_schema, positions, outside)
-    lowerings[schema] = lowering
+    # max |M†M − I| over the domain: the isometry defect
+    gram = matrix.conj().T @ matrix
+    lowering.defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    lowering.in_kets = tuple(ket for ket, _ in columns)
+    lowering.positions, lowering.outside, lowering.matrix = positions, outside, matrix
     return lowering
 
 

@@ -7,11 +7,13 @@ checks the registers, ``output_registers`` names them after the element, and
 Application splits each two-photon label once, extends the map linearly over the
 state's support, and ends with pruning and a norm check.  A hook never sees the
 other photon, so every element is M ⊗ I (or I ⊗ M) by construction.  Each element
-keeps its sparse lowering per schema in its instance ``__dict__``: the validated
-layout, the output schema and each ket's images, computed on first use.  It cannot
-go stale: elements are frozen and every hook is a pure function of (element, layout).
-The same ket images feed the dense matrix route in :mod:`hyper_rsp.dense`,
-which independently checks unitarity and matrix-vector equivalence.
+keeps one :class:`Lowering` per schema in one instance-``__dict__`` entry: the
+validated layout, the output schema and each ket's images, computed on first use
+and checked once against the output layout, so :meth:`Element.apply` hands its
+labels to the norm step unchecked.  It cannot go stale: elements are frozen and
+every hook is a pure function of (element, layout).  The same kept images feed the
+dense matrix route in :mod:`hyper_rsp.dense`, which keeps its matrix view on the
+same lowering and independently checks unitarity and matrix-vector equivalence.
 
 Some optics are unitary only on legal inputs (path-frequency correlation, empty
 unused ports, a free later time bin, a uniform register).  There ``ket_image`` is
@@ -69,12 +71,28 @@ PAULI_AXES = tuple(_PAULI_ACTIONS)
 #: dof tag used in operator names, per register
 _DOF_TAGS = {"pol": "p", "freq": "f", "time": "t", "path": "s"}
 
-#: A ket the sparse memo has not imaged yet (a kept ``None`` is "outside the domain")
+#: A ket the memo has not imaged yet (a kept ``None`` is "outside the domain")
 _UNSEEN = object()
 
 
 class CorrelationError(ValueError):
     """A rewrite that is only unitary on correlated labels met an illegal state."""
+
+
+class Lowering:
+    """One element's lowering on one schema, kept once ``validate`` passes: the
+    photon's validated ``layout``, the ``out_schema`` after the element, and the
+    ket → ``images`` memo (``None`` outside the domain) that :meth:`Element.images`
+    fills, checking each image once.  :func:`hyper_rsp.dense.element_to_dense`
+    adds the dense view (``matrix``, ``in_kets``, ``positions``, ``outside``,
+    ``defect``) from the same images on first request.
+    """
+
+    __slots__ = ("layout", "out_schema", "images", "matrix", "in_kets", "positions", "outside",
+                 "defect")
+
+    def __init__(self, layout: Layout, out_schema: Schema):
+        self.layout, self.out_schema, self.images, self.matrix = layout, out_schema, {}, None
 
 
 @dataclass(frozen=True)
@@ -157,27 +175,45 @@ class Element:
             return Schema(registers, schema.photon_b)
         return Schema(schema.photon_a, registers)
 
-    def _lowered(self, schema: Schema) -> tuple[Layout, Schema, dict]:
-        """The sparse lowering on ``schema``, kept once ``validate`` passes: the
-        layout, the output schema and a ket → images memo filled on first use."""
-        lowerings = self.__dict__.setdefault("_sparse_lowerings", {})
-        lowering = lowerings.get(schema)
+    @functools.cached_property
+    def _lowerings(self) -> dict[Schema, Lowering]:
+        return {}
+
+    def lowering(self, schema: Schema) -> Lowering:
+        """The one :class:`Lowering` on ``schema``, built and kept once
+        ``validate`` passes; a failed ``validate`` keeps nothing."""
+        lowering = self._lowerings.get(schema)
         if lowering is None:
             layout = schema.layout(self.photon)
             self.validate(layout)
-            lowering = lowerings[schema] = (layout, self.output_schema(schema), {})
+            lowering = self._lowerings[schema] = Lowering(layout, self.output_schema(schema))
         return lowering
+
+    def images(self, lowering: Lowering, ket: tuple) -> list[tuple[tuple, complex]] | None:
+        """``ket``'s images on ``lowering``, imaged once and kept.  Each image is
+        checked once against the output layout; a bad one raises
+        :class:`SchemaMismatchError` and is not kept."""
+        images = lowering.images.get(ket, _UNSEEN)
+        if images is _UNSEEN:
+            images = self.ket_image(ket, lowering.layout)
+            if images is not None:
+                out_layout = lowering.out_schema.layout(self.photon)
+                for image, _ in images:
+                    out_layout.validate_ket(image)
+            lowering.images[ket] = images
+        return images
 
     def apply(self, state: StateVector) -> StateVector:
         schema = state.schema
-        layout, out_schema, memo = self._lowered(schema)
+        lowering = self.lowering(schema)
+        memo = lowering.images
         on_a = self.photon == "A"
         acc: dict[Label, complex] = {}
-        for label, amp in state.items():
+        for label, amp in state.amplitudes.items():
             ket, rest = label if on_a else label[::-1]
             images = memo.get(ket, _UNSEEN)
             if images is _UNSEEN:
-                images = memo[ket] = self.ket_image(ket, layout)
+                images = self.images(lowering, ket)
             if images is None:
                 raise CorrelationError(
                     f"{type(self).__name__}: ket {schema.format_label(label)} lies "
@@ -186,7 +222,8 @@ class Element:
             for image, coeff in images:
                 new_label = (image, rest) if on_a else (rest, image)
                 acc[new_label] = acc.get(new_label, 0j) + amp * coeff
-        return StateVector.build(out_schema, acc)
+        # every label is a checked image beside a label of the input state
+        return StateVector.settle(lowering.out_schema, acc)
 
 
 def _with(ket: tuple, position: int, value) -> tuple:
@@ -500,52 +537,30 @@ class BalancedSplitter(Element):
 
 @dataclass(frozen=True)
 class PauliOp(Element):
-    """Apply a two-factor correction to the photon's named registers."""
+    """Apply a two-factor correction to the photon's named registers, each by
+    its ``_PAULI_ACTIONS`` entry."""
 
     string: PauliString
 
     def validate(self, layout: Layout) -> None:
-        _pauli_images(layout, self.string.factors)
+        for register, _ in self.string.factors:
+            values = layout.register(register).values
+            if len(values) != 2:
+                raise SchemaMismatchError(
+                    f"Pauli factor needs a two-valued register, {register!r} has "
+                    f"{len(values)} values"
+                )
 
     def ket_image(self, ket, layout):
-        image = _pauli_images(layout, self.string.factors).get(ket)
-        return None if image is None else [image]
-
-
-@functools.cache
-def _pauli_images(
-    layout: Layout, factors: tuple[tuple[str, str], ...]
-) -> dict[tuple, tuple[tuple, complex]]:
-    """One correction's signed permutation of the layout's canonical kets, built
-    from ``_PAULI_ACTIONS``.
-
-    Cached, so :meth:`PauliOp.ket_image` is a lookup for every ket; keyed by
-    the factor tuple, which hashes without a Python call, so equal strings
-    share one table; bounded by the number of schemas times two photons times
-    16.  The build
-    checks that every factor's register exists and is two-valued, so
-    :meth:`PauliOp.validate` is a cached lookup; an invalid layout raises on
-    every call, since the cache keeps no exceptions.
-    """
-    actions = []
-    for register, axis in factors:
-        position = layout.position(register)
-        values = layout.registers[position].values
-        if len(values) != 2:
-            raise SchemaMismatchError(
-                f"Pauli factor needs a two-valued register, {register!r} has "
-                f"{len(values)} values"
-            )
-        actions.append((position, values, _PAULI_ACTIONS[axis]))
-    images = {}
-    for ket in layout.kets:
         image, sign = ket, 1.0
-        for position, values, action in actions:
-            index, factor_sign = action[values.index(ket[position])]
-            image = _with(image, position, values[index])
-            sign *= factor_sign
-        images[ket] = (image, sign + 0j)
-    return images
+        for register, axis in self.string.factors:
+            position = layout.positions[register]
+            values = layout.registers[position].values
+            if ket[position] not in values:
+                return None
+            index, factor_sign = _PAULI_ACTIONS[axis][values.index(ket[position])]
+            image, sign = _with(image, position, values[index]), sign * factor_sign
+        return [(image, sign + 0j)]
 
 
 @functools.cache

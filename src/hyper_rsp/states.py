@@ -134,19 +134,34 @@ class Layout:
     def register(self, name: str) -> Register:
         return self.registers[self.position(name)]
 
+    def validate_ket(self, ket: tuple) -> None:
+        """Raise :class:`SchemaMismatchError`, naming the entry at fault, unless
+        ``ket`` is one of the layout's kets."""
+        if ket in self.index:
+            return
+        if len(ket) != len(self.registers):
+            raise SchemaMismatchError(
+                f"photon {self.photon} label {ket!r} has {len(ket)} entries, "
+                f"schema has {len(self.registers)} registers"
+            )
+        for value, reg in zip(ket, self.registers):
+            if value not in reg.values:
+                raise SchemaMismatchError(f"value {value!r} not allowed in register {reg.name!r}")
+
 
 #: The one Schema instance of each register layout; see Schema.__new__.
 _SCHEMAS: dict[tuple, "Schema"] = {}
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Schema:
     """Fixed register layout of one circuit stage (photon A tuple, photon B tuple).
 
     Instances are interned: equal layouts give the identical object, so the
     per-photon :class:`Layout` and the label lookups below are built once per
-    layout and shared by every state on it.  ``__new__`` sets the fields, once,
-    so constructing an existing layout again writes nothing to the shared
+    layout and shared by every state on it, and two schemas are equal exactly
+    when they are the same object.  ``__new__`` sets the fields, once, so
+    constructing an existing layout again writes nothing to the shared
     instance.
     """
 
@@ -173,13 +188,14 @@ class Schema:
         return Schema, (self.photon_a, self.photon_b)
 
     @cached_property
-    def _labels(self) -> tuple[Label, ...]:
+    def canonical_labels(self) -> tuple[Label, ...]:
+        """All basis labels in canonical (lexicographic) order, kept once."""
         a_kets, b_kets = self._layouts["A"].kets, self._layouts["B"].kets
         return tuple((a, b) for a in a_kets for b in b_kets)
 
     @cached_property
     def _label_set(self) -> frozenset[Label]:
-        return frozenset(self._labels)
+        return frozenset(self.canonical_labels)
 
     def layout(self, photon: str) -> Layout:
         try:
@@ -191,25 +207,13 @@ class Schema:
         return len(self._layouts["A"].kets) * len(self._layouts["B"].kets)
 
     def labels(self) -> list[Label]:
-        """All basis labels in canonical (lexicographic) order."""
-        return list(self._labels)
+        """A fresh list of :attr:`canonical_labels`."""
+        return list(self.canonical_labels)
 
     def validate_label(self, label: Label) -> None:
-        if label in self._label_set:
-            return
-        # Not a basis label: find the entry at fault for the error message.
         a_values, b_values = label
-        for values, regs, photon in ((a_values, self.photon_a, "A"), (b_values, self.photon_b, "B")):
-            if len(values) != len(regs):
-                raise SchemaMismatchError(
-                    f"photon {photon} label {values!r} has {len(values)} entries, "
-                    f"schema has {len(regs)} registers"
-                )
-            for value, reg in zip(values, regs):
-                if value not in reg.values:
-                    raise SchemaMismatchError(
-                        f"value {value!r} not allowed in register {reg.name!r}"
-                    )
+        self._layouts["A"].validate_ket(a_values)
+        self._layouts["B"].validate_ket(b_values)
 
     def format_label(self, label: Label) -> str:
         a_values, b_values = label
@@ -245,17 +249,25 @@ class StateVector:
         amplitudes: Mapping[Label, complex],
         normalize: bool = False,
     ) -> "StateVector":
-        """Validate every label, prune tiny amplitudes, and enforce unit norm."""
+        """Validate every label, then :meth:`settle`."""
         if not schema._label_set.issuperset(amplitudes):
             for label in amplitudes:  # find the label at fault for the message
                 schema.validate_label(label)
+        return cls.settle(schema, amplitudes, normalize)
+
+    @classmethod
+    def settle(cls, schema: Schema, amplitudes: Mapping, normalize: bool = False) -> "StateVector":
+        """Prune tiny amplitudes and enforce (or restore) unit norm, in one pass
+        over labels the caller knows to be ``schema``'s; :meth:`build` checks them."""
         pruned: dict[Label, complex] = {}
+        norm_sq = 0.0  # summed in insertion order, as sum() over the kept amplitudes
         for label, amp in amplitudes.items():
             amp = complex(amp)
-            if abs(amp) < PRUNE_TOL:
+            magnitude = abs(amp)
+            if magnitude < PRUNE_TOL:
                 continue
             pruned[label] = amp
-        norm_sq = sum(abs(a) ** 2 for a in pruned.values())
+            norm_sq += magnitude ** 2
         if not math.isfinite(norm_sq):
             raise ValueError(f"state norm² = {norm_sq!r} is not finite")
         if normalize:
@@ -396,7 +408,7 @@ def fidelity(s: StateVector, t: StateVector) -> float:
         raise SchemaMismatchError("fidelity requires matching schemas")
     overlap = 0j
     t_amplitude = t.amplitudes.get
-    for label, amp in s.items():
+    for label, amp in s.amplitudes.items():
         overlap += t_amplitude(label, 0j).conjugate() * amp
     return abs(overlap) ** 2
 

@@ -408,11 +408,20 @@ def test_rules_are_handed_only_their_own_photon(kind, photon):
     for (ket, given), label in zip(spy.imaged, state.amplitudes):
         assert_own(ket, given)
         assert set(ket).isdisjoint(label[other]), (ket, label)
+    # the dense route reads the kets the sparse one kept and images the rest once
+    sparse_kets = {ket for ket, _ in spy.imaged}
     spy.imaged.clear()
     vec, schema = apply_dense(spy, state_to_vector(state), state.schema)
-    assert spy.imaged
-    for ket, given in spy.imaged:
+    assert sorted(map(layout.index.get, (ket for ket, _ in spy.imaged))) == [
+        i for i, ket in enumerate(layout.kets) if ket not in sparse_kets
+    ]
+    # a fresh element's dense route hands the rule every ket of the layout
+    fresh = Spy(photon)
+    fresh_vec, _ = apply_dense(fresh, state_to_vector(state), state.schema)
+    assert len(fresh.imaged) == len(layout.kets)
+    for ket, given in spy.imaged + fresh.imaged:
         assert_own(ket, given)
+    assert np.array_equal(fresh_vec, vec)
     assert schema == sparse.schema
     assert max_deviation(sparse, vec) < 1e-10
     assert max_deviation(state, vec) < 1e-10

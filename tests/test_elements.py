@@ -696,6 +696,10 @@ def test_one_element_keeps_one_lowering_per_schema():
     for _ in range(2):
         for state in (plain, timed):
             assert exact(plate.apply(state)) == exact(reference_apply(plate, state))
+    # one instance-dict entry holds both lowerings; the dense view is the same object
+    assert set(vars(plate)) == {"photon", "paths", "_lowerings"}
+    assert list(plate._lowerings) == [plain.schema, timed_schema]
+    assert element_to_dense(plate, timed_schema) is plate.lowering(timed_schema)
 
 
 @dataclass(frozen=True)
@@ -746,3 +750,43 @@ def test_a_ket_outside_the_domain_raises_from_the_memo_too():
     for _ in range(2):
         with pytest.raises(CorrelationError, match="FrequencyEraser"):
             eraser.apply(routed)
+
+
+@dataclass(frozen=True)
+class Misimaged(Element):
+    """The identity except that it sends ``ket`` to ``image``, counting its
+    ``ket_image`` calls per ket."""
+
+    ket: tuple = ()
+    image: tuple = ()
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def ket_image(self, ket, layout):
+        self.calls[ket] += 1
+        return [(self.image if ket == self.ket else ket, 1.0 + 0j)]
+
+
+@pytest.mark.parametrize(
+    "photon, ket, image, message",
+    [
+        ("A", ("V", "a2"), ("D", "a2"), "value 'D' not allowed in register 'pol'"),
+        ("A", ("V", "a2"), ("V",), "photon A label ('V',) has 1 entries, schema has 2 registers"),
+        ("B", ("V",), ("X",), "value 'X' not allowed in register 'pol'"),
+    ],
+    ids=["A-value", "A-length", "B-value"],
+)
+def test_an_image_outside_the_output_register_raises_and_is_not_kept(photon, ket, image, message):
+    state = two_path_state({(("H", "a1"), ("H",)): 0.6, (("V", "a2"), ("V",)): 0.8})
+    element = Misimaged(photon, ket, image)
+    for calls in (1, 2, 3):
+        with pytest.raises(SchemaMismatchError) as raised:
+            element.apply(state)
+        assert str(raised.value) == message
+        assert element.calls[ket] == calls
+    kept = element.lowering(state.schema).images
+    assert ket not in kept and len(kept) == 1
+    # the dense route reads the same images and meets the same check
+    with pytest.raises(SchemaMismatchError) as raised:
+        element_to_dense(element, state.schema)
+    assert str(raised.value) == message
+    assert ket not in kept
