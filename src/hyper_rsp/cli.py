@@ -47,9 +47,10 @@ def _round12(x: float) -> float:
 
 def _state_amplitudes(state: StateVector) -> list[list[float]]:
     """Canonical-order (re, im) pairs, 12 significant digits."""
+    amplitude = state.amplitudes.get
     return [
         [_round12(amp.real), _round12(amp.imag)]
-        for amp in (state.amplitude(label) for label in state.schema.labels())
+        for amp in (amplitude(label, 0j) for label in state.schema.canonical_labels)
     ]
 
 
@@ -114,7 +115,7 @@ def verify_report(kind: ProtocolKind, params: TargetParams) -> dict:
             first_failure = str(branch.outcome)
         entries.append(_branch_entry(kind, branch, consistent))
     basis = [branches[0].bob_state_pre.schema.format_label(label)
-             for label in branches[0].bob_state_pre.schema.labels()]
+             for label in branches[0].bob_state_pre.schema.canonical_labels]
     return {
         "protocol": kind.value,
         "params": _params_dict(params),
