@@ -69,11 +69,9 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
 
     layout = lowering.layout
     out_index = lowering.out_schema.layout(element.photon).index
-    columns = [
-        (ket, images)
-        for ket in layout.kets
-        if (images := element.images(lowering, ket)) is not None
-    ]
+    element.keep_images(lowering, layout.kets)
+    memo = lowering.images
+    columns = [(ket, memo[ket]) for ket in layout.kets if memo[ket] is not None]
     matrix = np.zeros((len(out_index), len(columns)), dtype=complex)
     for j, (_, images) in enumerate(columns):
         for image, coeff in images:

@@ -82,8 +82,8 @@ class CorrelationError(ValueError):
 class Lowering:
     """One element's lowering on one schema, kept once ``validate`` passes: the
     photon's validated ``layout``, the ``out_schema`` after the element, and the
-    ket → ``images`` memo (``None`` outside the domain) that :meth:`Element.images`
-    fills, checking each image once.  :func:`hyper_rsp.dense.element_to_dense`
+    ket → ``images`` memo (``None`` outside the domain) that
+    :meth:`Element.keep_images` fills, checking each image once.  :func:`hyper_rsp.dense.element_to_dense`
     adds the dense view (``matrix``, ``in_kets``, ``positions``, ``outside``,
     ``defect``) from the same images on first request.
     """
@@ -189,19 +189,20 @@ class Element:
             lowering = self._lowerings[schema] = Lowering(layout, self.output_schema(schema))
         return lowering
 
-    def images(self, lowering: Lowering, ket: tuple) -> list[tuple[tuple, complex]] | None:
-        """``ket``'s images on ``lowering``, imaged once and kept.  Each image is
-        checked once against the output layout; a bad one raises
+    def keep_images(self, lowering: Lowering, kets) -> None:
+        """Image each of ``kets`` not yet kept on ``lowering`` and keep it, once
+        every image is checked against the output layout: a bad one raises
         :class:`SchemaMismatchError` and is not kept."""
-        images = lowering.images.get(ket, _UNSEEN)
-        if images is _UNSEEN:
-            images = self.ket_image(ket, lowering.layout)
-            if images is not None:
-                out_layout = lowering.out_schema.layout(self.photon)
-                for image, _ in images:
+        layout, memo = lowering.layout, lowering.images
+        out_layout = lowering.out_schema.layout(self.photon)
+        for ket in kets:
+            if ket in memo:
+                continue
+            images = self.ket_image(ket, layout)
+            for image, _ in images or ():
+                if image not in out_layout.index:
                     out_layout.validate_ket(image)
-            lowering.images[ket] = images
-        return images
+            memo[ket] = images
 
     def apply(self, state: StateVector) -> StateVector:
         schema = state.schema
@@ -213,7 +214,8 @@ class Element:
             ket, rest = label if on_a else label[::-1]
             images = memo.get(ket, _UNSEEN)
             if images is _UNSEEN:
-                images = self.images(lowering, ket)
+                self.keep_images(lowering, (ket,))
+                images = memo[ket]
             if images is None:
                 raise CorrelationError(
                     f"{type(self).__name__}: ket {schema.format_label(label)} lies "
