@@ -81,7 +81,7 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
     outside[positions] = False
     for array in (matrix, positions, outside):
         array.flags.writeable = False
-    # max |M†M − I| over the domain: the isometry defect
+    # max |M†M − I| is the isometry defect; the matrix goes last, as it marks the view built
     gram = matrix.conj().T @ matrix
     lowering.defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     lowering.in_kets = tuple(ket for ket, _ in columns)

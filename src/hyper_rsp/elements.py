@@ -46,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .states import (
     Label,
@@ -189,7 +189,7 @@ class Element:
             lowering = self._lowerings[schema] = Lowering(layout, self.output_schema(schema))
         return lowering
 
-    def keep_images(self, lowering: Lowering, kets) -> None:
+    def keep_images(self, lowering: Lowering, kets: Iterable[tuple]) -> None:
         """Image each of ``kets`` not yet kept on ``lowering`` and keep it, once
         every image is checked against the output layout: a bad one raises
         :class:`SchemaMismatchError` and is not kept."""
