@@ -82,10 +82,10 @@ class CorrelationError(ValueError):
 class Lowering:
     """One element's lowering on one schema, kept once ``validate`` passes: the
     photon's validated ``layout``, the ``out_schema`` after the element, and the
-    ket → ``images`` memo (``None`` outside the domain) that
-    :meth:`Element.keep_images` fills, checking each image once.  :func:`hyper_rsp.dense.element_to_dense`
-    adds the dense view (``matrix``, ``in_kets``, ``positions``, ``outside``,
-    ``defect``) from the same images on first request.
+    ket → ``images`` memo (``None`` outside the domain) that :meth:`Element.keep_images`
+    fills, checking each image once.  :func:`hyper_rsp.dense.element_to_dense` adds
+    the dense view (``matrix``, ``in_kets``, ``positions``, ``outside``, ``defect``)
+    from the same images on first request.
     """
 
     __slots__ = ("layout", "out_schema", "images", "matrix", "in_kets", "positions", "outside",
