@@ -115,3 +115,12 @@ def test_loss_sweep_matches_golden_file():
                         "--trials", "20000", "--seed", "2")
     assert result.returncode == 0, result.stderr
     assert result.stdout.encode() == (GOLDEN / "loss_sweep_tb.txt").read_bytes()
+
+
+def test_reproduce_tables_matches_golden_file():
+    """At 10,000 trials each 4-digit frequency is an exact outcome count, so a
+    changed outcome draw (uniform column 0 through ``draw_many``) changes the file."""
+    result = run_script("reproduce_tables.py", "--params", "0.6", "0.8", "0.28", "0.96",
+                        "--trials", "10000", "--seed", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.encode() == (GOLDEN / "reproduce_tables.txt").read_bytes()
