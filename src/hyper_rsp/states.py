@@ -177,12 +177,8 @@ class Schema:
             object.__setattr__(schema, "photon_a", photon_a)
             object.__setattr__(schema, "photon_b", photon_b)
             object.__setattr__(schema, "_layouts", layouts)
-            object.__setattr__(schema, "_hash", hash(key))
             _SCHEMAS[key] = schema
         return schema
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return Schema, (self.photon_a, self.photon_b)

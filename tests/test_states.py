@@ -210,6 +210,8 @@ def test_equal_layouts_share_one_schema():
     )
     assert copy.deepcopy(built) is built
     assert pickle.loads(pickle.dumps(built)) is built
+    rebuilt = Schema((pol_register(), freq_register()), (pol_register(), freq_register()))
+    assert {built: "kept"}[rebuilt] == "kept"  # a dict keyed by schema finds an equal layout
 
 
 def test_returned_labels_are_copies():
