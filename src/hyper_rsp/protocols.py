@@ -124,7 +124,10 @@ _CIRCUITS: dict[ProtocolKind, tuple] = {
 def build_circuit(kind: ProtocolKind, params: TargetParams) -> tuple[Element, ...]:
     """The ordered element list photon A traverses before detection: the fixed
     optics of ``_CIRCUITS`` as they are, each rotation built for ``params``."""
-    stages = _CIRCUITS[kind]
+    try:
+        stages = _CIRCUITS[kind]
+    except KeyError:
+        raise ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind") from None
     return tuple(stage if isinstance(stage, Element) else stage(params) for stage in stages)
 
 

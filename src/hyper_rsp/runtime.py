@@ -78,7 +78,10 @@ class SampleStats:
 
 def encode_outcome(kind: ProtocolKind, outcome: Outcome) -> ChannelMessage:
     """The outcome's index in :func:`outcome_registry` becomes its code."""
-    code = _OUTCOME_CODES[kind].get(outcome)
+    try:
+        code = _OUTCOME_CODES[kind].get(outcome)
+    except KeyError:
+        raise ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind") from None
     if code is None:
         raise UnknownDetectorError(f"outcome {outcome} not in the {kind.value} registry")
     return ChannelMessage(WIRE_VERSION, kind, code)
@@ -92,8 +95,11 @@ def decode_outcome(message: ChannelMessage) -> Outcome:
 
 
 def message_to_bytes(message: ChannelMessage) -> bytes:
-    """Fixed 3-byte little-endian frame [version][protocol][outcome_code]."""
-    return bytes((message.version, PROTOCOL_CODES[message.protocol], message.outcome_code))
+    """Fixed 3-byte little-endian frame [version][protocol][outcome_code]; a
+    frame that :func:`message_from_bytes` would reject is refused."""
+    frame = bytes((message.version, PROTOCOL_CODES[message.protocol], message.outcome_code))
+    message_from_bytes(frame)
+    return frame
 
 
 def message_from_bytes(frame: bytes) -> ChannelMessage:

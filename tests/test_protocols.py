@@ -33,6 +33,7 @@ from hyper_rsp.protocols import (
     outcome_registry,
     run_protocol,
 )
+from hyper_rsp.runtime import encode_outcome
 from hyper_rsp.states import (
     PARAM_TOL,
     Outcome,
@@ -525,10 +526,26 @@ def test_outcome_registries():
         assert outcome_registry(kind) == tuple(Outcome(*key) for key in table)
 
 
+_TARGET = TargetParams(0.6, 0.8, 0.28, 0.96, 0.28, 0.96)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        outcome_registry,
+        lambda kind: evolve(kind, _TARGET),
+        lambda kind: make_target(_TARGET, kind),
+        lambda kind: run_protocol(kind, _TARGET),
+        lambda kind: build_circuit(kind, _TARGET),
+        lambda kind: encode_outcome(kind, Outcome("H", "a1")),
+    ],
+    ids=["outcome_registry", "evolve", "make_target", "run_protocol", "build_circuit",
+         "encode_outcome"],
+)
 @pytest.mark.parametrize("kind", ["pf", "tb", None])
-def test_registry_rejects_a_kind_that_is_not_a_protocol(kind):
-    with pytest.raises(ValueError, match="unknown protocol"):
-        outcome_registry(kind)
+def test_registry_rejects_a_kind_that_is_not_a_protocol(kind, entry):
+    with pytest.raises(ValueError, match=r"^unknown protocol .*; expected a ProtocolKind$"):
+        entry(kind)
 
 
 @pytest.fixture

@@ -85,6 +85,19 @@ def test_frame_rejects_bad_version_and_length():
         message_from_bytes(b"\x01\x00")
 
 
+@pytest.mark.parametrize(
+    "message, error",
+    [
+        (ChannelMessage(9, PF, 0), "unsupported wire version 9"),
+        (ChannelMessage(1, PF, 7), "outcome code 7 out of range"),
+        (ChannelMessage(1, TB, 8), "outcome code 8 out of range"),
+    ],
+)
+def test_writer_refuses_a_frame_the_reader_rejects(message, error):
+    with pytest.raises(ValueError, match=error):
+        message_to_bytes(message)
+
+
 def test_encode_unknown_outcome():
     with pytest.raises(UnknownDetectorError):
         encode_outcome(PF, Outcome("H", "kp1"))
