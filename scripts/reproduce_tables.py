@@ -7,7 +7,8 @@ correction, whether the exhaustive search agrees with it, and the fidelity.
 Random params follow the CLI's contract, so ``--seed`` names the same target
 as ``hyper-rsp verify --params random --seed``.  With --trials the script also
 cross-checks outcome frequencies, drawn from the outcome column of the
-sampler's per-chunk stream, against the exact probabilities.
+sampler's per-chunk words (``runtime.chunk_words``), against the exact
+probabilities.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from hyper_rsp import cli
-from hyper_rsp.runtime import CHUNK_TRIALS, BranchSampler, chunk_uniforms
+from hyper_rsp.runtime import CHUNK_TRIALS, BranchSampler, chunk_words
 from hyper_rsp.states import ProtocolKind, TargetParams
 
 
@@ -25,8 +26,8 @@ def show_frequencies(kind, params, trials, seed):
     sampler = BranchSampler(kind, params)
     counts = np.zeros(len(sampler.branches), dtype=int)
     for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
-        uniforms = chunk_uniforms(seed, trials, chunk_index)[:, 0]
-        counts += np.bincount(sampler.draw_many(uniforms), minlength=len(counts))
+        words = chunk_words(seed, trials, chunk_index)[:, 0]
+        counts += np.bincount(sampler.draw_many(words), minlength=len(counts))
     p = sampler.branches[0].probability
     sigma = math.sqrt(p * (1 - p) / trials)
     print(f"sampled {trials} outcomes (expect {p:.4f} each, 3σ = {3 * sigma:.4f}):")

@@ -10,10 +10,13 @@ generator.  Trials are processed in fixed chunks of ``CHUNK_TRIALS``; chunk
 ``c`` of a run seeded with ``s`` draws from ``Philox(key=[s, c])``, so every
 chunk's trials are a pure function of (seed, chunk index).  Results are
 identical across platforms and independent of how chunks are distributed over
-workers.  Each trial consumes three uniforms, in column order: outcome draw,
-sender's detector, receiver's detector; only detected trials have their
-outcome drawn (an index depends on its own uniform alone, so each gets the
-index a draw over every trial would give it).  Seeds lie in [0, 2^64).
+workers.  Each trial consumes three 64-bit words, in column order: outcome
+draw, sender's detector, receiver's detector.  A word w stands for the uniform
+u = (w >> 11)·2⁻⁵³ that ``Generator.random`` would return, and the sampler
+compares words, not floats: u < x exactly when w < ``word_limit(x)``.  Only
+detected trials have their outcome drawn (an index depends on its own word
+alone, so each gets the index a draw over every trial would give it).  Seeds
+and chunk indices are integers in [0, 2^64).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so the codec and ``PAYLOAD_BITS`` (all that ``verify``
@@ -23,6 +26,7 @@ and ``efficiency`` use of this module) load without it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -76,12 +80,16 @@ class SampleStats:
             raise ValueError("success_rate must equal detected/trials")
 
 
+def _unknown_protocol(kind: object) -> ValueError:
+    return ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind")
+
+
 def encode_outcome(kind: ProtocolKind, outcome: Outcome) -> ChannelMessage:
     """The outcome's index in :func:`outcome_registry` becomes its code."""
     try:
         code = _OUTCOME_CODES[kind].get(outcome)
     except KeyError:
-        raise ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind") from None
+        raise _unknown_protocol(kind) from None
     if code is None:
         raise UnknownDetectorError(f"outcome {outcome} not in the {kind.value} registry")
     return ChannelMessage(WIRE_VERSION, kind, code)
@@ -97,7 +105,11 @@ def decode_outcome(message: ChannelMessage) -> Outcome:
 def message_to_bytes(message: ChannelMessage) -> bytes:
     """Fixed 3-byte little-endian frame [version][protocol][outcome_code]; a
     frame that :func:`message_from_bytes` would reject is refused."""
-    frame = bytes((message.version, PROTOCOL_CODES[message.protocol], message.outcome_code))
+    try:
+        protocol_code = PROTOCOL_CODES[message.protocol]
+    except KeyError:
+        raise _unknown_protocol(message.protocol) from None
+    frame = bytes((message.version, protocol_code, message.outcome_code))
     message_from_bytes(frame)
     return frame
 
@@ -117,22 +129,47 @@ def message_from_bytes(frame: bytes) -> ChannelMessage:
 
 
 def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    """The documented per-chunk stream: Philox keyed by (seed, chunk index)."""
+    """The documented per-chunk stream: Philox keyed by (seed, chunk index),
+    each an integer in [0, 2**64); anything else raises ``ValueError``."""
     import numpy as np
 
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = []
+    for name, value in (("seed", seed), ("chunk index", chunk_index)):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if not 0 <= value < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+        key.append(value)
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def chunk_uniforms(seed: int, trials: int, chunk_index: int) -> np.ndarray:
-    """The (count, 3) uniforms of chunk ``chunk_index`` of a ``trials``-trial run;
-    every chunk holds ``CHUNK_TRIALS`` trials except a shorter last one."""
+def chunk_words(seed: int, trials: int, chunk_index: int) -> np.ndarray:
+    """The (count, 3) raw uint64 Philox words of chunk ``chunk_index`` of a
+    ``trials``-trial run; every chunk holds ``CHUNK_TRIALS`` trials except a
+    shorter last one."""
     start = chunk_index * CHUNK_TRIALS
     if not 0 <= start < trials:
         raise ValueError(f"chunk {chunk_index} outside a run of {trials} trials")
-    return chunk_generator(seed, chunk_index).random((min(CHUNK_TRIALS, trials - start), 3))
+    count = min(CHUNK_TRIALS, trials - start)
+    return chunk_generator(seed, chunk_index).bit_generator.random_raw(3 * count).reshape(count, 3)
+
+
+def chunk_uniforms(seed: int, trials: int, chunk_index: int) -> np.ndarray:
+    """The float view of :func:`chunk_words`: u = (w >> 11)·2⁻⁵³ for each word w,
+    the uniforms ``chunk_generator(seed, chunk_index).random((count, 3))`` gives."""
+    return (chunk_words(seed, trials, chunk_index) >> 11) * 2.0**-53
+
+
+def word_limit(x: float) -> int:
+    """The least word whose uniform is not below ``x`` in [0, 1], so u < x
+    exactly when w < word_limit(x); 2**64 (past every word) when x = 1.
+
+    u = m·2⁻⁵³ with the integer m = w >> 11, so u < x ⟺ m < x·2⁵³ ⟺
+    m < ⌈x·2⁵³⌉, and x·2⁵³ is exact: scaling by a power of two rounds nothing.
+    """
+    return math.ceil(x * 2**53) << 11
 
 
 class BranchSampler:
@@ -142,23 +179,29 @@ class BranchSampler:
         import numpy as np
 
         self.branches: tuple[BranchReport, ...] = run_protocol(kind, params)
-        self._cumulative = np.cumsum([branch.probability for branch in self.branches])
+        cumulative = np.cumsum([branch.probability for branch in self.branches])
+        # an edge at 1.0 or above has a limit of 2**64 or more: no word reaches it
+        self._edge_words = [np.uint64(word_limit(e)) for e in cumulative[:-1] if e < 1.0]
         self._index_dtype = np.min_scalar_type(len(self.branches) - 1)
 
-    def draw_many(self, uniforms: np.ndarray) -> np.ndarray:
-        """Vectorized branch indices for an array of uniforms in [0, 1).
+    def draw_many(self, words: np.ndarray) -> np.ndarray:
+        """Vectorized branch indices for an array of raw Philox words.
 
-        A uniform's index is the number of cumulative branch edges ≤ u, the
-        last edge left out.  Because the cumulative table never decreases,
-        that count is ``min(searchsorted(cumulative, u, side="right"), B - 1)``
-        for B branches: the same draw, without the binary search.
+        A word's index is the number of cumulative branch edges ≤ its uniform
+        u, the last edge left out: ``min(searchsorted(cumulative, u,
+        side="right"), B - 1)`` for B branches.  An edge e ≤ u exactly when
+        the word is ≥ ``word_limit(e)``, so the count runs on the words and
+        every index is the one the float draw gives.  A float array would
+        compare wrongly, so any dtype but uint64 raises ``TypeError``.
         """
         import numpy as np
 
-        uniforms = np.ascontiguousarray(uniforms)
-        indices = np.zeros(uniforms.shape, dtype=self._index_dtype)
-        for edge in self._cumulative[:-1]:
-            indices += edge <= uniforms
+        words = np.ascontiguousarray(words)
+        if words.dtype != np.uint64:
+            raise TypeError(f"draw_many takes uint64 Philox words, got {words.dtype}")
+        indices = np.zeros(words.shape, dtype=self._index_dtype)
+        for edge in self._edge_words:
+            indices += edge <= words
         return indices
 
 
@@ -175,9 +218,11 @@ def sample_with_loss(
     Bernoulli(η_d) draws, so the detection rate estimates η_d².  Conditioned on
     detection the protocol is unchanged: the recorded fidelity per detected
     trial is the exact branch fidelity, which is 1 for the ideal circuits.
-    The click mask comes first and only the detected trials' outcome uniforms,
+    The click mask comes first and only the detected trials' outcome words,
     in trial order, are drawn: the same indices and fidelity sum as a draw
-    over the whole chunk followed by post-selection.
+    over the whole chunk followed by post-selection.  Both run on the raw
+    words: a detector fires when its word is below ``word_limit(eta_d)``, the
+    same decision as its uniform below η_d.
     """
     import numpy as np
 
@@ -189,10 +234,13 @@ def sample_with_loss(
     fidelities = np.array([b.fidelity_post for b in sampler.branches])
     detected = 0
     fidelity_sum = 0.0
+    # η_d = 1 has the limit 2**64, past every word: every trial clicks
+    click_limit = np.uint64(word_limit(eta_d)) if eta_d < 1.0 else None
     for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
-        outcome, sender, receiver = chunk_uniforms(seed, trials, chunk_index).T
-        clicks = np.maximum(sender, receiver) < eta_d
-        indices = sampler.draw_many(outcome.compress(clicks))
+        outcome, sender, receiver = chunk_words(seed, trials, chunk_index).T
+        if click_limit is not None:
+            outcome = outcome.compress(np.maximum(sender, receiver) < click_limit)
+        indices = sampler.draw_many(outcome)
         detected += indices.size
         fidelity_sum += float(fidelities.take(indices).sum())
     # the math.nan singleton, so that two runs with no detection compare equal

@@ -1,13 +1,17 @@
 """Channel codec, seeded sampling, and the detector-loss model."""
 
 import bisect
+import itertools
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyper_rsp import runtime
 from hyper_rsp.runtime import (
     CHUNK_TRIALS,
     PAYLOAD_BITS,
@@ -16,6 +20,7 @@ from hyper_rsp.runtime import (
     SampleStats,
     chunk_generator,
     chunk_uniforms,
+    chunk_words,
     decode_outcome,
     encode_outcome,
     message_from_bytes,
@@ -91,6 +96,7 @@ def test_frame_rejects_bad_version_and_length():
         (ChannelMessage(9, PF, 0), "unsupported wire version 9"),
         (ChannelMessage(1, PF, 7), "outcome code 7 out of range"),
         (ChannelMessage(1, TB, 8), "outcome code 8 out of range"),
+        (ChannelMessage(1, "pf", 0), "unknown protocol 'pf'; expected a ProtocolKind"),
     ],
 )
 def test_writer_refuses_a_frame_the_reader_rejects(message, error):
@@ -107,14 +113,25 @@ def test_encode_unknown_outcome():
 # sampling
 
 
+def limit_word(x):
+    """The least word whose uniform (w >> 11)·2⁻⁵³ is not below ``x``, in exact
+    rational arithmetic: 2**11 times the least integer m with m·2⁻⁵³ ≥ x."""
+    return math.ceil(Fraction(x) * 2**53) << 11
+
+
+def uniform(word):
+    """The float a raw Philox word stands for, as ``Generator.random`` makes it."""
+    return (int(word) >> 11) * 2**-53
+
+
 @pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
 def test_outcome_frequencies_within_three_sigma(kind, generic_params):
     trials = 40000
     sampler = BranchSampler(kind, generic_params)
     rng = np.random.Generator(np.random.Philox(key=97))
     counts = {outcome: 0 for outcome in outcome_registry(kind)}
-    uniforms = rng.random(trials)
-    for index in sampler.draw_many(uniforms):
+    words = rng.bit_generator.random_raw(trials)
+    for index in sampler.draw_many(words):
         counts[sampler.branches[index].outcome] += 1
     p = 1 / len(counts)
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -122,19 +139,50 @@ def test_outcome_frequencies_within_three_sigma(kind, generic_params):
         assert abs(count / trials - p) < 3 * sigma, outcome
 
 
-@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
-def test_draw_many_matches_running_sum_bisect(kind, generic_params, rng):
-    """Reference: a bisect over the branch probabilities summed one by one,
-    probed at every edge (the last one exercises the clamp) and just below it."""
-    sampler = BranchSampler(kind, generic_params)
+#: hand-made branch tables for the edges no protocol has
+SYNTHETIC_TABLES = {
+    # an edge of exactly 1.0 before the last one: no word reaches it
+    "edge-at-1": (0.37, 0.63, 0.0, 0.0),
+    # an edge whose limit word is 2**11: only the words 0..2047 lie below it
+    "tiny-edge": (2**-60, 0.5, 0.5 - 2**-60),
+}
+
+
+def table_sampler(table, generic_params, monkeypatch):
+    """``pf``/``tb`` on the generic target, ``<kind>-random-5`` on the target of
+    seed 5 (edges that are not multiples of 2⁻⁵³ among them), or a synthetic
+    table of ``SYNTHETIC_TABLES`` put in place of ``run_protocol``."""
+    if table in SYNTHETIC_TABLES:
+        branches = tuple(SimpleNamespace(probability=p) for p in SYNTHETIC_TABLES[table])
+        monkeypatch.setattr(runtime, "run_protocol", lambda kind, params: branches)
+        return BranchSampler(PF, generic_params)
+    kind, _, target = table.partition("-")
+    params = random_params(5) if target else generic_params
+    return BranchSampler(ProtocolKind.parse(kind), params)
+
+
+@pytest.mark.parametrize("table", ["pf", "tb", "pf-random-5", "tb-random-5", *SYNTHETIC_TABLES])
+def test_draw_many_matches_running_sum_bisect(table, generic_params, monkeypatch, rng):
+    """Reference: a bisect over the branch probabilities summed one by one, on
+    each word's uniform.  Probes: every edge's limit word and the word just
+    below it, and the top word (the last edge is left out, so it exercises the
+    clamp); an edge of 1.0 or above has no limit word."""
+    sampler = table_sampler(table, generic_params, monkeypatch)
     edges, total = [], 0.0
     for branch in sampler.branches:
         total += branch.probability
         edges.append(total)
-    probes = np.array(edges + [np.nextafter(1.0, 0.0)])
-    uniforms = np.concatenate([probes, np.nextafter(probes, 0.0), rng.random(1000)])
-    expected = [min(bisect.bisect_right(edges, u), len(edges) - 1) for u in uniforms]
-    assert sampler.draw_many(uniforms).tolist() == expected
+    if table == "edge-at-1":
+        assert edges[1] == 1.0
+    if table == "pf-random-5":
+        assert limit_word(edges[0]) != math.floor(Fraction(edges[0]) * 2**53) << 11
+    limits = [limit_word(edge) for edge in edges if edge < 1.0]
+    probes = [word for limit in limits for word in (limit, limit - 1) if word >= 0]
+    words = np.concatenate([
+        np.array(probes + [2**64 - 1], dtype=np.uint64), rng.bit_generator.random_raw(1000)
+    ])
+    expected = [min(bisect.bisect_right(edges, uniform(w)), len(edges) - 1) for w in words]
+    assert sampler.draw_many(words).tolist() == expected
 
 
 def reference_sample(kind, params, eta_d, trials, seed):
@@ -170,16 +218,18 @@ def reference_sample(kind, params, eta_d, trials, seed):
 
 @pytest.mark.parametrize(
     "eta_d, trials",
-    [(eta_d, 2 * CHUNK_TRIALS + 77) for eta_d in (0.0, 0.37, 0.8, 1.0)]
+    [(eta_d, 2 * CHUNK_TRIALS + 77) for eta_d in (0.0, 0.37, 0.8, 1.0, 2**-60, 1 - 2**-53)]
     + [(0.01, 2 * CHUNK_TRIALS + 3)],
-    ids=["0.0", "0.37", "0.8", "1.0", "0.01-last-chunk-of-3"],
+    ids=["0.0", "0.37", "0.8", "1.0", "2**-60", "1-2**-53", "0.01-last-chunk-of-3"],
 )
 @pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
 def test_sample_with_loss_equals_reference_loop(kind, eta_d, trials):
     """Bit-identical stats (equal under ``==``, a run with no detection
     included) and per-chunk outcome counts, short last chunk included, on a
     target whose branch fidelities are not all exactly 1.0.  At η_d = 0.01
-    some chunks detect trials and the 3-trial last one detects none."""
+    some chunks detect trials and the 3-trial last one detects none; 2⁻⁶⁰
+    (limit word 2**11) and 1 − 2⁻⁵³ (the top 53-bit uniform is not below it)
+    are the word thresholds' boundaries."""
     params, seed = random_params(5), 41
     sampler = BranchSampler(kind, params)
     assert any(branch.fidelity_post != 1.0 for branch in sampler.branches)
@@ -191,9 +241,31 @@ def test_sample_with_loss_equals_reference_loop(kind, eta_d, trials):
     stats = sample_with_loss(kind, params, eta_d, trials, seed)
     assert stats == expected
     for chunk_index, counts in enumerate(expected_counts):
-        outcomes = chunk_uniforms(seed, trials, chunk_index)[:, 0]
+        outcomes = chunk_words(seed, trials, chunk_index)[:, 0]
         drawn = np.bincount(sampler.draw_many(outcomes), minlength=len(sampler.branches))
         assert drawn.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize(
+    "eta_d", [0.0, 2**-60, 0.1, 0.37, 1 - 2**-53, 1.0],
+    ids=["0.0", "2**-60", "0.1", "0.37", "1-2**-53", "1.0"],
+)
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_click_mask_at_the_limit_words_equals_reference_loop(kind, eta_d, monkeypatch, rng):
+    """One crafted chunk: every pair of detector words from η_d's limit word,
+    the word just below it, 0 and the top word, each trial with a random
+    outcome word.  The word-domain run equals the float reference loop, which
+    detects exactly the pairs that lie below the limit."""
+    limit = limit_word(eta_d)
+    detector_words = sorted({w for w in (0, limit - 1, limit, 2**64 - 1) if 0 <= w < 2**64})
+    pairs = list(itertools.product(detector_words, repeat=2))
+    outcomes = rng.bit_generator.random_raw(len(pairs)).tolist()
+    words = np.array([(o, s, r) for o, (s, r) in zip(outcomes, pairs)], dtype=np.uint64)
+    monkeypatch.setattr(runtime, "chunk_words", lambda seed, trials, chunk_index: words)
+    params = random_params(5)
+    expected, _, chunk_detected = reference_sample(kind, params, eta_d, len(pairs), 0)
+    assert chunk_detected == [sum(s < limit and r < limit for s, r in pairs)]
+    assert sample_with_loss(kind, params, eta_d, len(pairs), 0) == expected
 
 
 @pytest.mark.parametrize("eta_d", [0.0, 0.37, 1.0])
@@ -207,9 +279,9 @@ def test_sample_with_loss_draws_once_per_chunk_and_only_detected(
     sizes = []
     draw_many = BranchSampler.draw_many
 
-    def spy(self, uniforms):
-        sizes.append(uniforms.size)
-        return draw_many(self, uniforms)
+    def spy(self, words):
+        sizes.append(words.size)
+        return draw_many(self, words)
 
     monkeypatch.setattr(BranchSampler, "draw_many", spy)
     trials = 2 * CHUNK_TRIALS + 77
@@ -223,16 +295,37 @@ def test_sample_with_loss_draws_once_per_chunk_and_only_detected(
 @pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
 def test_draw_many_of_no_uniforms_is_empty(kind, generic_params):
     sampler = BranchSampler(kind, generic_params)
-    indices = sampler.draw_many(np.empty(0))
+    indices = sampler.draw_many(np.empty(0, dtype=np.uint64))
     assert indices.shape == (0,)
-    assert indices.dtype == sampler.draw_many(np.array([0.5])).dtype
+    assert indices.dtype == sampler.draw_many(np.array([1 << 63], dtype=np.uint64)).dtype
 
 
-def test_chunk_generator_seed_range():
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_draw_many_refuses_anything_but_words(kind, generic_params):
+    """A float uniform compared with a limit word would count no edge."""
+    sampler = BranchSampler(kind, generic_params)
+    for values in (np.array([0.9]), np.array([2**62], dtype=np.int64)):
+        with pytest.raises(TypeError, match="uint64 Philox words"):
+            sampler.draw_many(values)
+
+
+def test_chunk_generator_seed_range(generic_params):
     assert chunk_generator(2**64 - 1, 0).random() != chunk_generator(0, 0).random()
+    assert chunk_generator(np.uint64(5), np.int64(2)).random() == chunk_generator(5, 2).random()
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             chunk_generator(seed, 0)
+    for chunk_index in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"chunk index must lie in \[0, 2\*\*64\)"):
+            chunk_generator(5, chunk_index)
+    # a non-integer would alias the stream of its integer part
+    with pytest.raises(ValueError, match="chunk index must be an integer, got 1.5"):
+        chunk_generator(5, 1.5)
+    for seed in (1.5, "5"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            chunk_generator(seed, 0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_with_loss(PF, generic_params, eta_d=0.5, trials=10, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +394,10 @@ def test_short_last_chunk_is_the_documented_philox_stream():
     key = np.array([seed, 3], dtype=np.uint64)
     expected = np.random.Generator(np.random.Philox(key=key)).random((77, 3))
     assert np.array_equal(chunk_uniforms(seed, trials, 3), expected)
+    words = chunk_words(seed, trials, 3)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, np.random.Philox(key=key).random_raw(3 * 77).reshape(77, 3))
+    assert np.array_equal(chunk_uniforms(seed, trials, 3), (words >> 11) * 2.0**-53)
 
 
 def test_chunk_bounds():
