@@ -4,8 +4,9 @@ The figure of merit is (qubits prepared) / (channel qubits + classical bits).
 The counts are read off each protocol's declarations: the prepared qubits are
 log₂ of each receiver register's size (two two-valued registers, 2 qubits),
 the hyper-entangled channel holds them once per photon (4 qubits), and the
-classical cost is the codec's payload width, 2 bits versus 3.  So the
-fractions 1/3 and 2/7 are exact and compared without tolerance.
+classical cost is the message's payload width, ⌈log₂⌉ of the detector count
+in the protocol's table: 2 bits versus 3.  So the fractions 1/3 and 2/7 are
+exact and compared without tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .runtime import PAYLOAD_BITS
+from .protocols import outcome_registry
 from .states import ProtocolKind, hyper_bell_schema
 
 
@@ -49,7 +50,7 @@ def protocol_inputs(kind: ProtocolKind) -> EfficiencyInput:
     return EfficiencyInput(
         transmitted_qubits=prepared,
         channel_qubits=2 * prepared,
-        classical_bits=PAYLOAD_BITS[kind],
+        classical_bits=math.ceil(math.log2(len(outcome_registry(kind)))),
     )
 
 

@@ -19,10 +19,11 @@ Polarization-time-bin circuit (eight detectors, pol x {kp1..kp4}):
     (k1,k4)→(kp1,kp4) and (k2,k3)→(kp2,kp3).
 
 The receiver applies a two-factor Pauli correction keyed on the announced
-outcome.  Both the detector registry (the final stage's occupied photon-A kets,
-in canonical order = message-code order) and the correction table are read off
-the circuit once per process; each correction is the single match of the
-16-way search `derive_correction` at a fixed generic target.
+outcome.  One table per protocol, read off the circuit on first use, holds the
+classical side: each detector (an occupied photon-A ket of the final stage) in
+canonical order, its message code (its position in that order) and its
+correction, the single match of the 16-way search `derive_correction` at a
+fixed generic target.  The payload width is ⌈log₂⌉ of the table's size.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .states import (
     make_hyper_bell,
     make_target,
     project_photon_a,
+    unknown_protocol,
 )
 
 FIDELITY_TOL = 1e-10
@@ -66,7 +68,8 @@ TB_PATHS = ("a1", "a2", "k1", "k2", "k3", "k4", "kp1", "kp2", "kp3", "kp4")
 
 
 class CorrectionNotFoundError(RuntimeError):
-    """No single Pauli correction reaches the target: a circuit/convention inconsistency."""
+    """Not exactly one Pauli correction reaches the generic target: a circuit or
+    convention inconsistency."""
 
 
 def rotation_angle(alpha: float, beta: float) -> float:
@@ -126,7 +129,7 @@ def build_circuit(kind: ProtocolKind, params: TargetParams) -> tuple[Element, ..
     try:
         stages = _CIRCUITS[kind]
     except KeyError:
-        raise ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind") from None
+        raise unknown_protocol(kind) from None
     # From a list: tuple() of a generator resizes the tuple, which cost 0.5 MiB of peak RSS.
     return tuple([stage if isinstance(stage, Element) else stage(params) for stage in stages])
 
@@ -144,10 +147,11 @@ _GENERIC_TARGET = TargetParams.from_angles(0.3, 1.1, 2.0)
 
 
 @cache
-def _corrections(kind: ProtocolKind) -> dict[Outcome, PauliString]:
-    """The correction table read off the circuit, keyed by the final stage's
-    occupied photon-A kets in canonical order: the detector registry, in
-    classical-message code order.  Each value is the search's single match."""
+def _corrections(kind: ProtocolKind) -> dict[Outcome, tuple[int, PauliString]]:
+    """The protocol's classical side, built on first use: the final stage's
+    occupied photon-A kets in canonical order (the detector registry), each
+    mapped to its message code (its position) and its correction, which must
+    be the search's single match."""
     final = evolve(kind, _GENERIC_TARGET)
     target = make_target(_GENERIC_TARGET, kind)
     layout = final.schema.layout("A")
@@ -155,13 +159,10 @@ def _corrections(kind: ProtocolKind) -> dict[Outcome, PauliString]:
     table = {}
     for ket in filter(occupied.__contains__, layout.kets):
         outcome = Outcome(ket[layout.positions["pol"]], ket[layout.positions["path"]])
-        try:
-            matches = derive_correction(project_photon_a(final, outcome)[1], target).matches
-        except CorrectionNotFoundError:
-            matches = ()
+        matches = derive_correction(project_photon_a(final, outcome)[1], target).matches
         if len(matches) != 1:
             raise CorrectionNotFoundError(f"{len(matches)} corrections for outcome {outcome}")
-        table[outcome] = matches[0]
+        table[outcome] = (len(table), matches[0])
     return table
 
 
@@ -173,7 +174,7 @@ def outcome_registry(kind: ProtocolKind) -> tuple[Outcome, ...]:
 def correction_table(kind: ProtocolKind, outcome: Outcome) -> PauliString:
     """The receiver's correction for one announced outcome."""
     try:
-        return _corrections(kind)[outcome]
+        return _corrections(kind)[outcome][1]
     except KeyError:
         raise UnknownDetectorError(f"no correction tabulated for outcome {outcome}") from None
 
@@ -202,11 +203,10 @@ def run_protocol(kind: ProtocolKind, params: TargetParams) -> tuple[BranchReport
     final = evolve(kind, params)
     target = make_target(params, kind)
     reports = []
-    for outcome in outcome_registry(kind):
+    for outcome, (_, correction) in _corrections(kind).items():
         probability, bob_pre = project_photon_a(final, outcome)
         if bob_pre is None:
             raise RuntimeError(f"branch {outcome} unexpectedly empty")
-        correction = correction_table(kind, outcome)
         bob_post = correction.receiver_op.apply(bob_pre)
         reports.append(
             BranchReport(
@@ -233,9 +233,8 @@ def derive_correction(bob_state: StateVector, target: StateVector) -> Correction
     """Search all 16 two-factor corrections for ones reaching the target.
 
     Returns every candidate with fidelity 1 within tolerance, in a fixed
-    enumeration order; at generic parameters exactly one survives.  Raises
-    :class:`CorrectionNotFoundError` when none does, which signals an
-    inconsistent table or sign convention rather than a sampling fluke, and
+    enumeration order: exactly one at generic parameters, several at a
+    degenerate target, none for a state no correction reaches.  Raises
     :class:`SchemaMismatchError` when the two schemas differ or the receiver
     does not hold exactly two registers.
     """
@@ -249,8 +248,4 @@ def derive_correction(bob_state: StateVector, target: StateVector) -> Correction
         corrected = candidate.receiver_op.apply(bob_state)
         if fidelity(corrected, target) >= 1.0 - FIDELITY_TOL:
             matches.append(candidate)
-    if not matches:
-        raise CorrectionNotFoundError(
-            "no two-factor Pauli correction maps the collapsed state onto the target"
-        )
     return CorrectionSearch(tuple(matches))

@@ -1,9 +1,11 @@
 """Stochastic execution: sampled outcomes, detector loss, and the classical channel.
 
-The classical message carries the measurement outcome as a small code: 2 payload
-bits for the four-detector protocol, 3 for the eight-detector one.  On the wire
-a message is a fixed 3-byte little-endian frame [version][protocol][code]; the
-2-/3-bit payload width is the accounting figure used by the efficiency module.
+The classical message carries the measurement outcome as its code, the
+outcome's position in the protocol's table (``protocols._corrections``): 2
+payload bits for the four-detector protocol, 3 for the eight-detector one.  On
+the wire a message is a fixed 3-byte little-endian frame
+[version][protocol][code]; the 2-/3-bit payload width is the accounting figure
+the efficiency module reads off the same table.
 
 Randomness contract: all sampling uses numpy's Philox 4x64 counter-based
 generator.  Trials are processed in fixed chunks of ``CHUNK_TRIALS``; chunk
@@ -19,8 +21,8 @@ alone, so each gets the index a draw over every trial would give it).  Seeds
 and chunk indices are integers in [0, 2^64).
 
 numpy is imported on first use, inside each function that computes with it and
-never at module level, so the codec and ``PAYLOAD_BITS`` (all that ``verify``
-and ``efficiency`` use of this module) load without it.
+never at module level, so the codec (all that ``verify`` uses of this module)
+loads without it.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .protocols import BranchReport, outcome_registry, run_protocol
-from .states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError
+from .protocols import BranchReport, _corrections, outcome_registry, run_protocol
+from .states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError, unknown_protocol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,15 +43,6 @@ CHUNK_TRIALS = 1 << 14
 
 PROTOCOL_CODES = {ProtocolKind.PF: 0, ProtocolKind.TB: 1}
 _CODE_TO_PROTOCOL = {code: kind for kind, code in PROTOCOL_CODES.items()}
-
-#: outcome code = index in the protocol's detector registry
-_OUTCOME_CODES = {
-    kind: {outcome: code for code, outcome in enumerate(outcome_registry(kind))}
-    for kind in ProtocolKind
-}
-
-#: payload bits per message: ceil(log2(registry size))
-PAYLOAD_BITS = {kind: math.ceil(math.log2(len(codes))) for kind, codes in _OUTCOME_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -80,18 +73,12 @@ class SampleStats:
             raise ValueError("success_rate must equal detected/trials")
 
 
-def _unknown_protocol(kind: object) -> ValueError:
-    return ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind")
-
-
 def encode_outcome(kind: ProtocolKind, outcome: Outcome) -> ChannelMessage:
     """The outcome's index in :func:`outcome_registry` becomes its code."""
     try:
-        code = _OUTCOME_CODES[kind].get(outcome)
+        code, _ = _corrections(kind)[outcome]
     except KeyError:
-        raise _unknown_protocol(kind) from None
-    if code is None:
-        raise UnknownDetectorError(f"outcome {outcome} not in the {kind.value} registry")
+        raise UnknownDetectorError(f"outcome {outcome} not in the {kind.value} registry") from None
     return ChannelMessage(WIRE_VERSION, kind, code)
 
 
@@ -108,7 +95,7 @@ def message_to_bytes(message: ChannelMessage) -> bytes:
     try:
         protocol_code = PROTOCOL_CODES[message.protocol]
     except KeyError:
-        raise _unknown_protocol(message.protocol) from None
+        raise unknown_protocol(message.protocol) from None
     frame = bytes((message.version, protocol_code, message.outcome_code))
     message_from_bytes(frame)
     return frame
@@ -228,6 +215,10 @@ def sample_with_loss(
 
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"detector efficiency must lie in [0, 1], got {eta_d}")
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     sampler = BranchSampler(kind, params)

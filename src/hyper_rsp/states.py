@@ -63,6 +63,11 @@ class ProtocolKind(Enum):
             raise ValueError(f"unknown protocol {text!r}; expected 'pf' or 'tb'") from None
 
 
+def unknown_protocol(kind: object) -> ValueError:
+    """The error every entry point raises for a kind that is not a ProtocolKind."""
+    return ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind")
+
+
 @dataclass(frozen=True)
 class Register:
     """One degree-of-freedom slot: a name and its ordered, finite value set."""
@@ -365,7 +370,7 @@ def hyper_bell_schema(kind: ProtocolKind) -> Schema:
             (pol_register(), freq_register()),
         )
     if kind is not ProtocolKind.TB:
-        raise ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind")
+        raise unknown_protocol(kind)
     return Schema(
         (pol_register(), time_register(TIME_BINS_WITH_DELAY)),
         (pol_register(), time_register()),

@@ -22,7 +22,6 @@ from hyper_rsp.protocols import (
     run_protocol,
 )
 from hyper_rsp.runtime import (
-    PAYLOAD_BITS,
     decode_outcome,
     encode_outcome,
     message_from_bytes,
@@ -140,8 +139,9 @@ def test_criterion_4_correction_rederivation():
 def test_criterion_5_efficiency_fractions():
     assert protocol_efficiency(PF) == Fraction(1, 3)
     assert protocol_efficiency(TB) == Fraction(2, 7)
-    assert protocol_inputs(PF).classical_bits == PAYLOAD_BITS[PF] == 2
-    assert protocol_inputs(TB).classical_bits == PAYLOAD_BITS[TB] == 3
+    for kind, bits in ((PF, 2), (TB, 3)):
+        size = len(outcome_registry(kind))
+        assert protocol_inputs(kind).classical_bits == math.ceil(math.log2(size)) == bits
     _passed("[5] efficiencies exactly 1/3 and 2/7; classical bit costs 2 and 3")
 
 

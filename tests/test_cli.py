@@ -111,8 +111,26 @@ def test_verify_failure_exits_one_and_names_first_row(capsys, monkeypatch):
     assert report["first_failure"] == "H@a1"
 
 
+@pytest.mark.parametrize("kind,first", [("pf", "H@a1"), ("tb", "H@kp1")])
+def test_verify_reports_a_branch_no_correction_reaches(capsys, monkeypatch, kind, first):
+    protocols.outcome_registry(ProtocolKind.parse(kind))  # the table, built before the patch
+    # An unreachable fidelity bar empties every branch's correction search.
+    monkeypatch.setattr(protocols, "FIDELITY_TOL", -1e-9)
+    argv = ["verify", "--protocol", kind, "--params", "0.6", "0.8", "0.28", "0.96"]
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert {entry["correction_consistent"] for entry in report["branches"]} == {False}
+    assert report["all_pass"] is False
+    assert report["first_failure"] == first
+    code, out = run_cli(capsys, *argv, "--format", "table")
+    assert code == 1
+    assert out.endswith(f"verdict: FAIL (first failing row: {first})\n")
+
+
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_verify_report_builds_the_target_once(monkeypatch, kind):
+    protocols.outcome_registry(kind)  # the table, built before the count starts
     calls = []
 
     def counted(*args):

@@ -10,7 +10,8 @@ from hyper_rsp.efficiency import (
     protocol_efficiency,
     protocol_inputs,
 )
-from hyper_rsp.runtime import PAYLOAD_BITS
+from hyper_rsp.protocols import outcome_registry
+from hyper_rsp.runtime import encode_outcome
 from hyper_rsp.states import ProtocolKind
 
 
@@ -38,8 +39,10 @@ def test_protocol_values_exact():
 
 
 def test_classical_bits_cross_checked_against_channel():
-    assert protocol_inputs(ProtocolKind.PF).classical_bits == PAYLOAD_BITS[ProtocolKind.PF] == 2
-    assert protocol_inputs(ProtocolKind.TB).classical_bits == PAYLOAD_BITS[ProtocolKind.TB] == 3
+    # the largest code on the wire needs exactly the accounted bits
+    for kind, bits in ((ProtocolKind.PF, 2), (ProtocolKind.TB, 3)):
+        codes = [encode_outcome(kind, outcome).outcome_code for outcome in outcome_registry(kind)]
+        assert protocol_inputs(kind).classical_bits == max(codes).bit_length() == bits
 
 
 @pytest.mark.parametrize("kind", [ProtocolKind.PF, ProtocolKind.TB])

@@ -1,8 +1,10 @@
-"""Import rule: no ``hyper_rsp`` module imports numpy at module level.
+"""Import rules: no ``hyper_rsp`` module imports numpy at module level, and
+importing the package derives no protocol table.
 
 ``verify`` and ``efficiency`` never compute with numpy, so a fresh process
 that runs them must not load it; ``sample`` loads it on first use.  Each check
-runs in its own interpreter, because this test process has numpy loaded.
+runs in its own interpreter, because this test process has numpy loaded and
+its protocol tables built.
 """
 
 import os
@@ -46,3 +48,13 @@ assert "numpy" in sys.modules, "numpy not loaded"
 """)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (GOLDEN / "sample_pf.json").read_text()
+
+
+def test_import_builds_no_protocol_table():
+    done = run_fresh("""
+import hyper_rsp, hyper_rsp.cli, hyper_rsp.runtime, hyper_rsp.efficiency, hyper_rsp.dense
+from hyper_rsp import protocols
+size = protocols._corrections.cache_info().currsize
+assert size == 0, f"{size} protocol tables built at import"
+""")
+    assert done.returncode == 0, done.stderr

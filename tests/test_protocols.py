@@ -467,8 +467,7 @@ def test_search_fails_on_unreachable_state(generic_params):
         {((), ("H", "w1")): 1 / math.sqrt(2), ((), ("V", "w2")): 1 / math.sqrt(2)},
     )
     target = make_target(generic_params, PF)
-    with pytest.raises(CorrectionNotFoundError):
-        derive_correction(entangled, target)
+    assert derive_correction(entangled, target).matches == ()
 
 
 def test_search_rejects_mismatched_schemas_as_schema_errors(generic_params):
@@ -563,6 +562,15 @@ def test_derivation_refuses_an_ambiguous_generic_target(kind, first, underived, 
     # two matching corrections and the derivation must not pick one.
     monkeypatch.setattr(protocols, "_GENERIC_TARGET", TargetParams(1.0, 0.0, 0.6, 0.8, 0.6, 0.8))
     with pytest.raises(CorrectionNotFoundError, match=f"^2 corrections for outcome {first}$"):
+        outcome_registry(kind)
+
+
+@pytest.mark.parametrize("kind,first", [(PF, "H@a1"), (TB, "H@kp1")])
+def test_derivation_refuses_a_branch_no_correction_reaches(kind, first, underived, monkeypatch):
+    # An unreachable fidelity bar empties every search; the table, not the
+    # search, is what refuses it.
+    monkeypatch.setattr(protocols, "FIDELITY_TOL", -1e-9)
+    with pytest.raises(CorrectionNotFoundError, match=f"^0 corrections for outcome {first}$"):
         outcome_registry(kind)
 
 

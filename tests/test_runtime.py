@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hyper_rsp import runtime
 from hyper_rsp.runtime import (
     CHUNK_TRIALS,
-    PAYLOAD_BITS,
     BranchSampler,
     ChannelMessage,
     SampleStats,
@@ -28,6 +27,7 @@ from hyper_rsp.runtime import (
     sample_with_loss,
 )
 from hyper_rsp.cli import random_params
+from hyper_rsp.efficiency import protocol_inputs
 from hyper_rsp.protocols import outcome_registry, run_protocol
 from hyper_rsp.states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError
 
@@ -64,10 +64,11 @@ def test_codec_round_trip_all_outcomes():
 def test_payload_bits_match_registry_sizes():
     for kind in (PF, TB):
         size = len(outcome_registry(kind))
-        assert PAYLOAD_BITS[kind] == math.ceil(math.log2(size))
+        bits = protocol_inputs(kind).classical_bits
+        assert bits == math.ceil(math.log2(size))
         # every code fits in the declared payload width
         for outcome in outcome_registry(kind):
-            assert encode_outcome(kind, outcome).outcome_code < 2 ** PAYLOAD_BITS[kind]
+            assert encode_outcome(kind, outcome).outcome_code < 2**bits
 
 
 def test_frame_is_three_bytes():
@@ -413,3 +414,7 @@ def test_loss_validation(generic_params):
         sample_with_loss(PF, generic_params, eta_d=1.5, trials=10, seed=1)
     with pytest.raises(ValueError):
         sample_with_loss(PF, generic_params, eta_d=0.5, trials=0, seed=1)
+    # a fractional count is refused here, not by numpy's TypeError deep in the draw
+    for trials in (1.5, 16384.5):
+        with pytest.raises(ValueError, match=f"trials must be an integer, got {trials}"):
+            sample_with_loss(PF, generic_params, eta_d=0.5, trials=trials, seed=1)

@@ -6,10 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyper_rsp
 from hyper_rsp.cli import main
+from hyper_rsp.runtime import BranchSampler, chunk_words
+from hyper_rsp.states import ProtocolKind, TargetParams
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -127,3 +130,23 @@ def test_reproduce_tables_matches_golden_file():
                             "--trials", trials, "--seed", "3")
         assert result.returncode == 0, result.stderr
         assert result.stdout.encode() == (GOLDEN / golden).read_bytes(), trials
+
+
+#: Per-chunk outcome counts of the golden 40,000-trial draw, in registry order.
+#: The file's 4-digit frequencies resolve only about 4 trials, so these pin
+#: what it cannot: one trial moved between outcomes in any chunk.
+COUNTS_40000 = {
+    ProtocolKind.PF: [[4106, 4138, 4042, 4098], [4096, 3963, 4218, 4107], [1786, 1819, 1803, 1824]],
+    ProtocolKind.TB: [[2073, 2033, 2024, 2114, 2030, 2012, 2094, 2004],
+                      [2111, 1985, 1980, 1983, 2079, 2139, 2101, 2006],
+                      [883, 903, 854, 965, 890, 913, 917, 907]],
+}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind), ids=["pf", "tb"])
+def test_reproduce_tables_40000_draw_has_the_pinned_counts(kind):
+    """The draw behind ``reproduce_tables_40000.txt``, counted as the script counts it."""
+    sampler = BranchSampler(kind, TargetParams(0.6, 0.8, 0.28, 0.96, 0.28, 0.96))
+    counts = [np.bincount(sampler.draw_many(chunk_words(3, 40000, chunk)[:, 0]),
+                          minlength=len(sampler.branches)).tolist() for chunk in range(3)]
+    assert counts == COUNTS_40000[kind]
