@@ -25,6 +25,13 @@ def target_params(draw) -> TargetParams:
 
 protocol_kinds = st.sampled_from([ProtocolKind.PF, ProtocolKind.TB])
 
+#: A generic target, then degenerate ones: β = 0, and every pair on an axis.
+MEMO_TARGETS = (
+    TargetParams.from_angles(0.3, 1.1, 2.0),
+    TargetParams(1.0, 0.0, 0.6, 0.8, 0.28, 0.96),
+    TargetParams(0.0, 1.0, -1.0, 0.0, 0.0, -1.0),
+)
+
 
 def assert_states_close(s: StateVector, t: StateVector, tol: float = GLOBAL_PHASE_TOL):
     """Equality up to global phase, via fidelity."""

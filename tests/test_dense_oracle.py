@@ -1,14 +1,16 @@
 """Sparse label rewrites against explicit dense matrices in canonical ordering."""
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import target_params
+from conftest import MEMO_TARGETS, target_params
 from hyper_rsp.dense import (
     apply_dense,
     element_to_dense,
@@ -482,6 +484,28 @@ def test_no_lowering_goes_stale_across_targets():
             shared = [a is b for a, b in zip(first, circuit)]
             assert shared == [not isinstance(e, ROTATIONS) for e in circuit]
             assert sum(shared) == fixed
+
+
+#: SHA-256 of every stage's dense matrix, domain kets, positions and mask
+DENSE_EXACT_DIGEST = Path(__file__).parent / "golden" / "dense_exact.sha256"
+
+
+def test_every_dense_lowering_is_bit_exact():
+    """Each stage's matrix bytes and domain arrays, for both protocols at
+    MEMO_TARGETS and at a target whose β are all −0.0, hashed: a fill that
+    writes −0.0 where accumulation onto 0j writes 0.0 moves the digest.  The
+    defect and evolved vectors come from BLAS, whose bits depend on its
+    kernel, so they are left out."""
+    digest = hashlib.sha256()
+    for kind in (PF, TB):
+        for params in MEMO_TARGETS + (TargetParams(1.0, -0.0, 1.0, -0.0, 1.0, -0.0),):
+            for element, schema in walk_circuit(kind, params):
+                dense = element_to_dense(element, schema)
+                digest.update(dense.matrix.tobytes())
+                digest.update(repr(dense.in_kets).encode())
+                digest.update(dense.positions.tobytes())
+                digest.update(dense.outside.tobytes())
+    assert digest.hexdigest() == DENSE_EXACT_DIGEST.read_text().strip()
 
 
 @pytest.mark.parametrize("kind", [PF, TB])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import angles, assert_amplitudes_equal, target_params
+from conftest import MEMO_TARGETS, angles, assert_amplitudes_equal, target_params
 from hyper_rsp.dense import element_to_dense
 from hyper_rsp.elements import (
     BalancedSplitter,
@@ -609,14 +609,6 @@ def test_validate_rejects_non_isometric_tables(element, state):
 
 # ---------------------------------------------------------------------------
 # the sparse lowering kept on each element, per schema
-
-#: A generic target, then degenerate ones: β = 0, and every pair on an axis.
-MEMO_TARGETS = (
-    TargetParams.from_angles(0.3, 1.1, 2.0),
-    TargetParams(1.0, 0.0, 0.6, 0.8, 0.28, 0.96),
-    TargetParams(0.0, 1.0, -1.0, 0.0, 0.0, -1.0),
-)
-
 
 def reference_apply(element, state):
     """The element's map with one ``ket_image`` call per support label and no
