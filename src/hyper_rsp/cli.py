@@ -21,13 +21,9 @@ import math
 import re
 import sys
 
+from . import protocols
 from .efficiency import protocol_efficiency, protocol_inputs
-from .protocols import (
-    FIDELITY_TOL,
-    BranchReport,
-    derive_correction,
-    run_protocol,
-)
+from .protocols import BranchReport, derive_correction, run_protocol
 from .runtime import chunk_generator, encode_outcome, sample_with_loss
 from .states import ProtocolKind, StateVector, TargetParams, receiver_schema
 
@@ -110,7 +106,7 @@ def verify_report(kind: ProtocolKind, params: TargetParams) -> dict:
     for branch in branches:
         search = derive_correction(branch.bob_state_pre, branch.target)
         consistent = branch.correction in search.matches
-        ok = consistent and branch.fidelity_post >= 1.0 - FIDELITY_TOL
+        ok = consistent and branch.fidelity_post >= 1.0 - protocols.FIDELITY_TOL
         if not ok and first_failure is None:
             first_failure = str(branch.outcome)
         entries.append(_branch_entry(kind, branch, consistent))
@@ -146,11 +142,11 @@ def sample_report(
 
 
 def efficiency_report() -> dict:
-    protocols = {}
+    entries = {}
     for kind in ProtocolKind:
         fraction = protocol_efficiency(kind)
         inputs = protocol_inputs(kind)
-        protocols[kind.value] = {
+        entries[kind.value] = {
             "efficiency": str(fraction),
             "numerator": fraction.numerator,
             "denominator": fraction.denominator,
@@ -158,7 +154,7 @@ def efficiency_report() -> dict:
             "channel_qubits": inputs.channel_qubits,
             "classical_bits": inputs.classical_bits,
         }
-    return {"protocols": protocols}
+    return {"protocols": entries}
 
 
 # ---------------------------------------------------------------------------

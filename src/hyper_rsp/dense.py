@@ -12,12 +12,13 @@ the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isome
 defect.  Agreement with the sparse application, and unitarity of every matrix,
 are the verification currency of the test suite.
 
-The dense view is kept on the element's one
-:class:`~hyper_rsp.elements.Lowering` per schema, the same one the sparse route
-keeps its ket images on, and is built from those images on first request: the
-read-only matrix, domain positions and out-of-domain mask, and the isometry
-defect.  It lives as long as its element, and it cannot go stale: elements are
-frozen and ``ket_image`` is a pure function of (element, layout).
+The dense view (read-only matrix, domain positions and out-of-domain mask,
+isometry defect) is built on first request and kept on the element's one
+:class:`~hyper_rsp.elements.Lowering` per schema.  A fixed optic's is read off
+its kept images.  A rotation's domain and (row, col, weight slot) cells are kept
+on its pattern, once per shape and schema: a new angle only fills its matrix
+with its own cos and sin and takes its own defect.  Nothing goes stale:
+elements are frozen and ``ket_image`` is a pure function of (element, layout).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so importing this module does not load it.
@@ -48,62 +49,60 @@ def state_to_vector(state: StateVector) -> np.ndarray:
     return vec
 
 
-def vector_to_state(vec: np.ndarray, schema: Schema) -> StateVector:
+def _index(lowering: Lowering) -> tuple:
+    """``lowering``'s images as dense arrays: domain kets, read-only positions and
+    mask, matrix shape, (rows, cols) cells and entries (coefficients or weight slots)."""
     import numpy as np
 
-    labels = schema.labels()
-    return StateVector.build(schema, {labels[i]: vec[i] for i in np.flatnonzero(np.abs(vec))})
+    layout, images = lowering.layout, lowering.images
+    out_index = lowering.out_schema.layout(layout.photon).index
+    in_kets = tuple(ket for ket in layout.kets if images[ket] is not None)
+    cells = [(out_index[image], col, entry)
+             for col, ket in enumerate(in_kets) for image, entry in images[ket]]
+    rows, cols, entries = map(np.array, zip(*cells))
+    positions = np.array([layout.index[ket] for ket in in_kets], dtype=np.intp)
+    outside = np.ones(len(layout.kets), dtype=bool)
+    outside[positions] = False
+    for array in (positions, outside):
+        array.flags.writeable = False
+    return in_kets, positions, outside, (len(out_index), len(in_kets)), (rows, cols), entries
 
 
 def element_to_dense(element: Element, schema: Schema) -> Lowering:
     """Lower one element to its matrix over its own photon's domain kets.
 
-    The dense view is built once per element instance and schema, from the
-    images kept on the element's :class:`~hyper_rsp.elements.Lowering`, and
-    kept there: every later call returns the same lowering, read-only.
+    The dense view is built once per element instance and schema and kept on
+    the element's :class:`~hyper_rsp.elements.Lowering`: every later call
+    returns the same lowering, read-only.
     """
     lowering = element.lowering(schema)
     if lowering.matrix is not None:
         return lowering
     import numpy as np
 
-    layout = lowering.layout
-    out_index = lowering.out_schema.layout(element.photon).index
-    element.keep_images(lowering, layout.kets)
-    memo = lowering.images
-    columns = [(ket, memo[ket]) for ket in layout.kets if memo[ket] is not None]
-    matrix = np.zeros((len(out_index), len(columns)), dtype=complex)
-    for j, (_, images) in enumerate(columns):
-        for image, coeff in images:
-            matrix[out_index[image], j] += coeff
-    positions = np.array([layout.index[ket] for ket, _ in columns], dtype=np.intp)
-    outside = np.ones(len(layout.kets), dtype=bool)
-    outside[positions] = False
-    for array in (matrix, positions, outside):
-        array.flags.writeable = False
+    pattern = lowering.pattern
+    if pattern is None:  # a fixed optic, read off its own kept images
+        element.keep_images(lowering, lowering.layout.kets)
+        *domain, shape, cells, values = _index(lowering)
+    else:  # a rotation: its shape's cells, weighed by its own cos and sin
+        pattern.cells = pattern.cells or _index(pattern)
+        *domain, shape, cells, slots = pattern.cells
+        values = np.array(element.weights)[slots]
+    lowering.in_kets, lowering.positions, lowering.outside = domain
+    matrix = np.zeros(shape, dtype=complex)
+    # onto complex zeros in image order, as entry-by-entry += would: 0j + −0.0 is 0.0
+    np.add.at(matrix, cells, values)
+    matrix.flags.writeable = False
     # max |M†M − I| is the isometry defect; the matrix goes last, as it marks the view built
     gram = matrix.conj().T @ matrix
     lowering.defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    lowering.in_kets = tuple(ket for ket, _ in columns)
-    lowering.positions, lowering.outside, lowering.matrix = positions, outside, matrix
+    lowering.matrix = matrix
     return lowering
 
 
 def unitarity_defect(element: Element, schema: Schema) -> float:
     """max |U†U - I| over the element's domain; 0 for an exact isometry."""
     return element_to_dense(element, schema).defect
-
-
-def is_signed_permutation(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when every column holds exactly one entry of magnitude one."""
-    import numpy as np
-
-    for column in matrix.T:
-        magnitudes = np.abs(column)
-        big = magnitudes > tol
-        if big.sum() != 1 or abs(magnitudes[big][0] - 1.0) > tol:
-            return False
-    return True
 
 
 def apply_dense(element: Element, vec: np.ndarray, schema: Schema) -> tuple[np.ndarray, Schema]:

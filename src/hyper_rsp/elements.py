@@ -27,9 +27,11 @@ Ket conventions used throughout (θ, φ in radians):
     rotation      |u⟩ → cosθ|u⟩ + sinθ|v⟩,   |v⟩ → -sinθ|u⟩ + cosθ|v⟩
     balanced      |in₁⟩ → (|out₁⟩+|out₂⟩)/√2,       |in₂⟩ → (|out₁⟩-|out₂⟩)/√2
 
-The rotation is one rule, :func:`_rotate`: the wave plate applies it with θ on
-(u, v) = (H, V), and the unbalanced splitter with φ/2 on its path pair (p, q).
-The Pockels cell is a half-wave plate switched on in one time bin.
+The rotation is one rule, :class:`Rotation`: the wave plate applies it with θ
+on (u, v) = (H, V), the unbalanced splitter with φ/2 on its path pair (p, q).
+Only its weights (1, cos, sin, −sin) depend on the angle; which weight each
+image carries is kept once per shape and schema.  The Pockels cell is a
+half-wave plate switched on in one time bin.
 
 The Pauli correction is defined by one table, ``_PAULI_ACTIONS``: each factor
 acts on a two-valued register (x₀, x₁) as
@@ -46,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 from .states import (
     Label,
@@ -83,16 +85,19 @@ class Lowering:
     """One element's lowering on one schema, kept once ``validate`` passes: the
     photon's validated ``layout``, the ``out_schema`` after the element, and the
     ket → ``images`` memo (``None`` outside the domain) that :meth:`Element.keep_images`
-    fills, checking each image once.  :func:`hyper_rsp.dense.element_to_dense` adds
-    the dense view (``matrix``, ``in_kets``, ``positions``, ``outside``, ``defect``)
-    from the same images on first request.
+    fills, checking each image once; a rotation's ``pattern`` has weight slots for
+    coefficients.  :func:`hyper_rsp.dense.element_to_dense` adds the dense view (``matrix``,
+    ``in_kets``, ``positions``, ``outside``, ``defect``; a pattern's ``cells``) on request.
     """
 
-    __slots__ = ("layout", "out_schema", "images", "matrix", "in_kets", "positions", "outside",
-                 "defect")
+    __slots__ = ("layout", "out_schema", "images", "pattern", "cells", "matrix", "in_kets",
+                 "positions", "outside", "defect")
 
-    def __init__(self, layout: Layout, out_schema: Schema):
+    def __init__(self, layout: Layout, out_schema: Schema, pattern: Lowering | None = None):
         self.layout, self.out_schema, self.images, self.matrix = layout, out_schema, {}, None
+        self.pattern, self.cells = pattern, None
+
+
 
 
 @dataclass(frozen=True)
@@ -238,55 +243,95 @@ def _without(entries: tuple, position: int) -> tuple:
     return entries[:position] + entries[position + 1 :]
 
 
-def _rotate(ket: tuple, position: int, pair: tuple, angle: float) -> list[tuple[tuple, complex]]:
-    """The rotation by ``angle`` on the values ``pair`` = (u, v) of the register at
-    ``position``; a ket holding neither value is untouched."""
-    if ket[position] not in pair:
-        return [(ket, 1.0 + 0j)]
-    u, v = pair
-    c, s = math.cos(angle), math.sin(angle)
-    if ket[position] == u:
-        return [(_with(ket, position, u), c), (_with(ket, position, v), s)]
-    return [(_with(ket, position, u), -s), (_with(ket, position, v), c)]
+@dataclass(frozen=True)
+class Rotation(Element):
+    """The rotation by ``angle`` on the values ``pair`` = (u, v) of ``register``,
+    only on ``paths`` when set.  Its ``pattern``, each image's slot in :attr:`weights`,
+    is kept once per shape (type, photon, pair and paths: all but the angle) and schema."""
+
+    paths = None
+    #: The one pattern of each shape on each schema, shared by every angle.
+    _patterns: ClassVar[dict[tuple, Lowering]] = {}
+
+    @functools.cached_property
+    def weights(self) -> tuple[complex, float, float, float]:
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        return (1.0 + 0j, c, s, -s)
+
+    def ket_slots(self, ket: tuple, layout: Layout) -> list[tuple[tuple, int]]:
+        """``ket``'s images, each with its slot in :attr:`weights`."""
+        position, (u, v) = layout.positions[self.register], self.pair
+        elsewhere = self.paths is not None and ket[layout.positions["path"]] not in self.paths
+        if elsewhere or ket[position] not in (u, v):
+            return [(ket, 0)]
+        if ket[position] == u:
+            return [(_with(ket, position, u), 1), (_with(ket, position, v), 2)]
+        return [(_with(ket, position, u), 3), (_with(ket, position, v), 1)]
+
+    def ket_image(self, ket, layout):
+        weights = self.weights
+        return [(image, weights[slot]) for image, slot in self.ket_slots(ket, layout)]
+
+    def validate(self, layout: Layout) -> None:
+        register = layout.register(self.register)
+        for value in self.pair:
+            register.index(value)
+        if self.paths is not None:
+            path = layout.register("path")
+            for p in self.paths:
+                path.index(p)
+
+    def lowering(self, schema: Schema) -> Lowering:
+        lowering = self._lowerings.get(schema)
+        if lowering is None:
+            key = (type(self), self.photon, self.pair, self.paths, schema)
+            pattern = Rotation._patterns.get(key)
+            if pattern is None:  # a failed validate or check keeps neither lowering
+                layout = schema.layout(self.photon)
+                self.validate(layout)
+                pattern = Lowering(layout, self.output_schema(schema))
+                pattern.images = {ket: self.ket_slots(ket, layout) for ket in layout.kets}
+                for images in pattern.images.values():
+                    for image, _ in images:
+                        pattern.out_schema.layout(self.photon).validate_ket(image)
+                Rotation._patterns[key] = pattern
+            lowering = self._lowerings[schema] = Lowering(pattern.layout, pattern.out_schema, pattern)
+        return lowering
+
+    def keep_images(self, lowering: Lowering, kets: Iterable[tuple]) -> None:
+        memo, slots, weights = lowering.images, lowering.pattern.images, self.weights
+        for ket in kets:
+            if ket not in memo:
+                memo[ket] = [(image, weights[slot]) for image, slot in slots[ket]]
 
 
 @dataclass(frozen=True)
-class PolarizationRotation(Element):
+class PolarizationRotation(Rotation):
     """Wave plate rotating H/V by ``theta``, optionally restricted to paths."""
 
     theta: float
     paths: tuple[str, ...] | None = None
 
-    def validate(self, layout: Layout) -> None:
-        layout.register("pol")
-        if self.paths is not None:
-            reg = layout.register("path")
-            for p in self.paths:
-                reg.index(p)
-
-    def ket_image(self, ket, layout):
-        if self.paths is not None and ket[layout.positions["path"]] not in self.paths:
-            return [(ket, 1.0 + 0j)]
-        return _rotate(ket, layout.positions["pol"], ("H", "V"), self.theta)
+    register, pair = "pol", ("H", "V")
+    angle = property(lambda self: self.theta)
 
 
 @dataclass(frozen=True)
-class UnbalancedSplitter(Element):
+class UnbalancedSplitter(Rotation):
     """Variable splitter mixing two spatial modes by the angle ``phi``: the
     rotation by φ/2 on ``path_pair``."""
 
     path_pair: tuple[str, str]
     phi: float
 
+    register = "path"
+    pair = property(lambda self: self.path_pair)
+    angle = property(lambda self: self.phi / 2.0)
+
     def validate(self, layout: Layout) -> None:
         if self.path_pair[0] == self.path_pair[1]:
             raise ValueError(f"splitter needs two distinct paths, got {self.path_pair}")
-        reg = layout.register("path")
-        for p in self.path_pair:
-            reg.index(p)
-
-    def ket_image(self, ket, layout):
-        return _rotate(ket, layout.positions["path"], self.path_pair, self.phi / 2.0)
+        super().validate(layout)
 
 
 @dataclass(frozen=True)

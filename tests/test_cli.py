@@ -12,6 +12,7 @@ import pytest
 import hyper_rsp.cli as cli_module
 from hyper_rsp import protocols, states
 from hyper_rsp.cli import main, verify_report
+from hyper_rsp.elements import all_pauli_strings
 from hyper_rsp.states import ProtocolKind, TargetParams, make_target
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,14 +100,30 @@ def test_verify_json_round_trips_bit_exactly(capsys):
 
 
 def test_verify_failure_exits_one_and_names_first_row(capsys, monkeypatch):
-    # An unreachable fidelity bar forces every branch to fail the check.
-    monkeypatch.setattr(cli_module, "FIDELITY_TOL", -1e-9)
-    code, out = run_cli(
-        capsys, "verify", "--protocol", "pf", "--params", "0.6", "0.8", "0.28", "0.96",
-        "--format", "json",
-    )
+    protocols.outcome_registry(ProtocolKind.PF)  # the table, built before the patch
+    # One unreachable fidelity bar, the one name both the gate and the search read.
+    monkeypatch.setattr(protocols, "FIDELITY_TOL", -1e-9)
+    assert not hasattr(cli_module, "FIDELITY_TOL")
+    argv = ("verify", "--protocol", "pf", "--params", "0.6", "0.8", "0.28", "0.96",
+            "--format", "json")
+    code, out = run_cli(capsys, *argv)
     assert code == 1
     report = json.loads(out)
+    assert report["all_pass"] is False
+    assert report["first_failure"] == "H@a1"
+    # the search moved: no correction reaches any branch
+    assert {entry["correction_consistent"] for entry in report["branches"]} == {False}
+
+    # the gate moved too: with every candidate matching, only the bar fails a branch
+    def every_candidate(bob_state, target):
+        names = tuple(r.name for r in target.schema.photon_b)
+        return protocols.CorrectionSearch(all_pauli_strings(names))
+
+    monkeypatch.setattr(cli_module, "derive_correction", every_candidate)
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert {entry["correction_consistent"] for entry in report["branches"]} == {True}
     assert report["all_pass"] is False
     assert report["first_failure"] == "H@a1"
 

@@ -15,11 +15,9 @@ from hyper_rsp.dense import (
     apply_dense,
     element_to_dense,
     evolve_dense,
-    is_signed_permutation,
     max_deviation,
     state_to_vector,
     unitarity_defect,
-    vector_to_state,
 )
 from hyper_rsp.elements import (
     BalancedSplitter,
@@ -82,6 +80,16 @@ def test_every_element_matrix_is_an_isometry(params):
             assert unitarity_defect(element, schema) < 1e-12, element
 
 
+def is_signed_permutation(matrix, tol=1e-12):
+    """True when every column holds exactly one entry of magnitude one."""
+    for column in matrix.T:
+        magnitudes = np.abs(column)
+        big = magnitudes > tol
+        if big.sum() != 1 or abs(magnitudes[big][0] - 1.0) > tol:
+            return False
+    return True
+
+
 @given(params=target_params())
 @settings(max_examples=20)
 def test_routing_elements_are_signed_permutations(params):
@@ -104,6 +112,11 @@ def test_sparse_equals_dense_stage_by_stage(params):
             vec, schema = apply_dense(element, vec, schema)
             assert state.schema == schema
             assert max_deviation(state, vec) < 1e-10
+
+
+def vector_to_state(vec, schema):
+    labels = schema.labels()
+    return StateVector.build(schema, {labels[i]: vec[i] for i in np.flatnonzero(np.abs(vec))})
 
 
 @given(params=target_params())

@@ -24,6 +24,7 @@ from hyper_rsp.elements import (
     PockelsCell,
     PolarizationRotation,
     PolarizingRouter,
+    Rotation,
     UnbalancedSplitter,
     WavelengthRouter,
     all_pauli_strings,
@@ -692,6 +693,103 @@ def test_one_element_keeps_one_lowering_per_schema():
     assert set(vars(plate)) == {"photon", "paths", "_lowerings"}
     assert list(plate._lowerings) == [plain.schema, timed_schema]
     assert element_to_dense(plate, timed_schema) is plate.lowering(timed_schema)
+
+
+# ---------------------------------------------------------------------------
+# a rotation's angle-free pattern, shared per shape and schema
+
+
+def reference_rotate(ket, position, pair, angle):
+    """The rotation rule written ket by ket, cos and sin computed per call: the
+    images every rotation's ``ket_image`` and kept images must match by ``repr``."""
+    if ket[position] not in pair:
+        return [(ket, 1.0 + 0j)]
+    u, v = pair
+    c, s = math.cos(angle), math.sin(angle)
+
+    def at(value):
+        return ket[:position] + (value,) + ket[position + 1 :]
+
+    if ket[position] == u:
+        return [(at(u), c), (at(v), s)]
+    return [(at(u), -s), (at(v), c)]
+
+
+def reference_rotation_image(element, ket, layout):
+    if isinstance(element, UnbalancedSplitter):
+        return reference_rotate(ket, layout.positions["path"], element.path_pair,
+                                element.phi / 2.0)
+    if element.paths is not None and ket[layout.positions["path"]] not in element.paths:
+        return [(ket, 1.0 + 0j)]
+    return reference_rotate(ket, layout.positions["pol"], ("H", "V"), element.theta)
+
+
+def _walk(kind, params):
+    """(element, input schema) along the circuit."""
+    state = make_hyper_bell(kind)
+    for element in build_circuit(kind, params):
+        yield element, state.schema
+        state = element.apply(state)
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.PF, ProtocolKind.TB])
+@pytest.mark.parametrize(
+    "params",
+    [MEMO_TARGETS[0], MEMO_TARGETS[2], TargetParams(1.0, -0.0, 1.0, -0.0, 1.0, -0.0)],
+    ids=["generic", "on-axis", "signed-zero"],
+)
+def test_rotation_images_match_the_per_ket_rule(kind, params):
+    for element, schema in _walk(kind, params):
+        if isinstance(element, Rotation):
+            layout = schema.layout(element.photon)
+            lowering = element.lowering(schema)
+            element.keep_images(lowering, layout.kets)
+            for ket in layout.kets:
+                reference = repr(reference_rotation_image(element, ket, layout))
+                assert repr(element.ket_image(ket, layout)) == reference, (element, ket)
+                assert repr(lowering.images[ket]) == reference, (element, ket)
+
+
+def test_rotations_of_one_shape_share_one_pattern():
+    schema = two_path_state({(("H", "a1"), ("H",)): 1.0}).schema
+    shapes = (
+        lambda angle: PolarizationRotation("A", angle, paths=("a1",)),
+        lambda angle: PolarizationRotation("A", angle),
+        lambda angle: UnbalancedSplitter("A", ("a1", "a2"), angle),
+    )
+    patterns = []
+    for shape in shapes:
+        first, second = (element_to_dense(shape(angle), schema) for angle in (0.3, 1.2))
+        assert first.pattern is second.pattern and first is not second
+        assert not np.array_equal(first.matrix, second.matrix)
+        for dense in (first, second):
+            gram = dense.matrix.conj().T @ dense.matrix
+            assert dense.defect == float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+        patterns.append(first.pattern)
+    assert len({id(pattern) for pattern in patterns}) == len(shapes)
+    # every target's circuit lowers each rotation stage over one pattern
+    for kind in (ProtocolKind.PF, ProtocolKind.TB):
+        for stages in zip(*(_walk(kind, params) for params in MEMO_TARGETS)):
+            if isinstance(stages[0][0], Rotation):
+                kept = {id(element.lowering(schema).pattern) for element, schema in stages}
+                assert len(kept) == 1
+
+
+@pytest.mark.parametrize(
+    "element",
+    [PolarizationRotation("A", 0.3, paths=("a9",)), UnbalancedSplitter("A", ("a1", "a9"), 0.7)],
+    ids=["plate", "splitter"],
+)
+def test_a_rotation_failing_validate_raises_every_time_and_keeps_nothing(element):
+    state = two_path_state({(("H", "a1"), ("H",)): 1.0})
+    for _ in range(3):
+        with pytest.raises(ValueError, match="value 'a9' not in register 'path'"):
+            element.apply(state)
+        with pytest.raises(ValueError, match="value 'a9' not in register 'path'"):
+            element_to_dense(element, state.schema)
+    assert element._lowerings == {}
+    key = (type(element), "A", element.pair, element.paths, state.schema)
+    assert key not in Rotation._patterns
 
 
 @dataclass(frozen=True)
