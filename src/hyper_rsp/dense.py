@@ -1,24 +1,24 @@
 """Dense matrix route: the independent check against the sparse label rewrites.
 
 Every element acts on one photon and is lowered on that photon alone: one pass
-of ``ket_image`` over the photon's canonical kets gives both the element's legal
+of ``ket_slots`` over the photon's canonical kets gives both the element's legal
 domain (the kets whose image is not ``None``) and its matrix M, assembled
 column-by-column from those images.  A canonical vector is read as a
 (dim A, dim B) grid, and M acts on its rows (photon A) or columns (photon B).
-This is exact by the element interface: ``ket_image`` is handed only the
+This is exact by the element interface: ``ket_slots`` is handed only the
 photon's own ket and layout, and the canonical order puts photon A's registers
 first, so the full two-photon matrix is M ⊗ I (photon A) or I ⊗ M (photon B) on
 the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isometry
 defect.  Agreement with the sparse application, and unitarity of every matrix,
 are the verification currency of the test suite.
 
-The dense view (read-only matrix, domain positions and out-of-domain mask,
-isometry defect) is built on first request and kept on the element's one
-:class:`~hyper_rsp.elements.Lowering` per schema.  A fixed optic's is read off
-its kept images.  A rotation's domain and (row, col, weight slot) cells are kept
-on its pattern, once per shape and schema: a new angle only fills its matrix
-with its own cos and sin and takes its own defect.  Nothing goes stale:
-elements are frozen and ``ket_image`` is a pure function of (element, layout).
+Every element takes one route.  Its :class:`~hyper_rsp.elements.Pattern` keeps
+the domain and the (row, col, weight slot) cells, once per fixed optic or rotation
+shape and schema.  The dense view (read-only matrix, domain positions and
+out-of-domain mask, isometry defect) is built on first request and kept on the
+element's one :class:`~hyper_rsp.elements.Lowering` per schema: the pattern's
+cells weighed by the element's own ``weights``.  Nothing goes stale: elements are
+frozen and ``ket_slots`` is a pure function of (element, layout).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so importing this module does not load it.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .elements import Element, Lowering
+from .elements import CorrelationError, Element, Lowering, Pattern
 from .states import Schema, SchemaMismatchError, StateVector
 
 if TYPE_CHECKING:
@@ -49,23 +49,23 @@ def state_to_vector(state: StateVector) -> np.ndarray:
     return vec
 
 
-def _index(lowering: Lowering) -> tuple:
-    """``lowering``'s images as dense arrays: domain kets, read-only positions and
-    mask, matrix shape, (rows, cols) cells and entries (coefficients or weight slots)."""
+def _index(pattern: Pattern) -> tuple:
+    """``pattern``'s slots as dense arrays: domain kets, read-only positions and
+    mask, matrix shape, (rows, cols) cells and weight slots."""
     import numpy as np
 
-    layout, images = lowering.layout, lowering.images
-    out_index = lowering.out_schema.layout(layout.photon).index
-    in_kets = tuple(ket for ket in layout.kets if images[ket] is not None)
-    cells = [(out_index[image], col, entry)
-             for col, ket in enumerate(in_kets) for image, entry in images[ket]]
-    rows, cols, entries = map(np.array, zip(*cells))
+    layout, memo = pattern.layout, pattern.slots
+    out_index = pattern.out_schema.layout(layout.photon).index
+    in_kets = tuple(ket for ket in layout.kets if memo[ket] is not None)
+    cells = [(out_index[image], col, slot)
+             for col, ket in enumerate(in_kets) for image, slot in memo[ket]]
+    rows, cols, slots = map(np.array, zip(*cells))
     positions = np.array([layout.index[ket] for ket in in_kets], dtype=np.intp)
     outside = np.ones(len(layout.kets), dtype=bool)
     outside[positions] = False
     for array in (positions, outside):
         array.flags.writeable = False
-    return in_kets, positions, outside, (len(out_index), len(in_kets)), (rows, cols), entries
+    return in_kets, positions, outside, (len(out_index), len(in_kets)), (rows, cols), slots
 
 
 def element_to_dense(element: Element, schema: Schema) -> Lowering:
@@ -73,7 +73,8 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
 
     The dense view is built once per element instance and schema and kept on
     the element's :class:`~hyper_rsp.elements.Lowering`: every later call
-    returns the same lowering, read-only.
+    returns the same lowering, read-only.  An element with no domain kets on
+    ``schema`` raises :class:`~hyper_rsp.elements.CorrelationError`.
     """
     lowering = element.lowering(schema)
     if lowering.matrix is not None:
@@ -81,17 +82,16 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
     import numpy as np
 
     pattern = lowering.pattern
-    if pattern is None:  # a fixed optic, read off its own kept images
-        element.keep_images(lowering, lowering.layout.kets)
-        *domain, shape, cells, values = _index(lowering)
-    else:  # a rotation: its shape's cells, weighed by its own cos and sin
-        pattern.cells = pattern.cells or _index(pattern)
-        *domain, shape, cells, slots = pattern.cells
-        values = np.array(element.weights)[slots]
+    if pattern.cells is None:
+        pattern.fill(element, pattern.layout.kets)
+        if all(slots is None for slots in pattern.slots.values()):
+            raise CorrelationError(f"{type(element).__name__}: the element's domain is empty")
+        pattern.cells = _index(pattern)
+    *domain, shape, cells, slots = pattern.cells
     lowering.in_kets, lowering.positions, lowering.outside = domain
     matrix = np.zeros(shape, dtype=complex)
     # onto complex zeros in image order, as entry-by-entry += would: 0j + −0.0 is 0.0
-    np.add.at(matrix, cells, values)
+    np.add.at(matrix, cells, np.array(element.weights)[slots])
     matrix.flags.writeable = False
     # max |M†M − I| is the isometry defect; the matrix goes last, as it marks the view built
     gram = matrix.conj().T @ matrix

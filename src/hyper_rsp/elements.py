@@ -3,20 +3,22 @@
 Every element is a small frozen dataclass acting on one photon, and each of its
 hooks is handed only that photon's :class:`~hyper_rsp.states.Layout`: ``validate``
 checks the registers, ``output_registers`` names them after the element, and
-``ket_image`` declares the action per ket (the photon's value tuple).
-Application splits each two-photon label once, extends the map linearly over the
-state's support, and ends with pruning and a norm check.  A hook never sees the
-other photon, so every element is M ⊗ I (or I ⊗ M) by construction.  Each element
-keeps one :class:`Lowering` per schema in one instance-``__dict__`` entry: the
-validated layout, the output schema and each ket's images, computed on first use
-and checked once against the output layout, so :meth:`Element.apply` hands its
-labels to the norm step unchecked.  It cannot go stale: elements are frozen and
-every hook is a pure function of (element, layout).  The same kept images feed the
-dense matrix route in :mod:`hyper_rsp.dense`, which keeps its matrix view on the
-same lowering and independently checks unitarity and matrix-vector equivalence.
+``ket_slots`` declares the action per ket (the photon's value tuple) as images,
+each with its slot in the element's ``weights``.  Every element is lowered one
+way, as a :class:`Pattern` weighted by a few coefficients.  The pattern holds the
+validated layout, the output schema and each ket's slots, filled on first use and
+checked once against the output layout.  A fixed optic declares its coefficients
+exactly (1, ±1/√2 for the 50:50 splitter, ±1 for a Pauli) and keeps its own
+pattern; a rotation's angle lives only in its weights, so one pattern serves every
+angle of its shape.  Each element keeps one :class:`Lowering` per schema, wrapping
+its pattern, in one instance-``__dict__`` entry, so :meth:`Element.apply` weighs
+the kept slots and hands its labels to the norm step unchecked.  Elements are
+frozen and every hook is pure, so nothing goes stale.  The same patterns feed the
+dense matrix route in :mod:`hyper_rsp.dense`, which independently checks
+unitarity and matrix-vector equivalence.
 
 Some optics are unitary only on legal inputs (path-frequency correlation, empty
-unused ports, a free later time bin, a uniform register).  There ``ket_image`` is
+unused ports, a free later time bin, a uniform register).  There ``ket_slots`` is
 a partial map: it returns ``None`` on a ket outside the element's legal domain.
 That ``None`` case is the element's one legality rule, and the domain is derived
 from it, so the sparse :meth:`Element.apply` and the dense lowering reject
@@ -29,9 +31,7 @@ Ket conventions used throughout (θ, φ in radians):
 
 The rotation is one rule, :class:`Rotation`: the wave plate applies it with θ
 on (u, v) = (H, V), the unbalanced splitter with φ/2 on its path pair (p, q).
-Only its weights (1, cos, sin, −sin) depend on the angle; which weight each
-image carries is kept once per shape and schema.  The Pockels cell is a
-half-wave plate switched on in one time bin.
+The Pockels cell is a half-wave plate switched on in one time bin.
 
 The Pauli correction is defined by one table, ``_PAULI_ACTIONS``: each factor
 acts on a two-valued register (x₀, x₁) as
@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Hashable, Iterable, Mapping
 
 from .states import (
     Label,
@@ -61,19 +61,19 @@ from .states import (
 )
 
 #: Each Pauli axis as the images of a two-valued register's values 0 and 1,
-#: each a (new index, sign) pair: the correction's one definition.
+#: each a (new index, weight slot) pair, slot 1 the sign −1: the correction's one definition.
 _PAULI_ACTIONS = {
-    "I": ((0, 1.0), (1, 1.0)),
-    "sx": ((1, 1.0), (0, 1.0)),
-    "isy": ((1, 1.0), (0, -1.0)),
-    "sz": ((0, 1.0), (1, -1.0)),
+    "I": ((0, 0), (1, 0)),
+    "sx": ((1, 0), (0, 0)),
+    "isy": ((1, 0), (0, 1)),
+    "sz": ((0, 0), (1, 1)),
 }
 PAULI_AXES = tuple(_PAULI_ACTIONS)
 
 #: dof tag used in operator names, per register
 _DOF_TAGS = {"pol": "p", "freq": "f", "time": "t", "path": "s"}
 
-#: A ket the memo has not imaged yet (a kept ``None`` is "outside the domain")
+#: A ket the pattern has not slotted yet (a kept ``None`` is "outside the domain")
 _UNSEEN = object()
 
 
@@ -81,23 +81,41 @@ class CorrelationError(ValueError):
     """A rewrite that is only unitary on correlated labels met an illegal state."""
 
 
+class Pattern:
+    """An element's structure on one schema, kept once ``validate`` passes: the
+    photon's validated ``layout``, the ``out_schema`` after the element and the
+    ket → ``slots`` memo ((image, weight slot) pairs, ``None`` outside the domain)
+    that :meth:`fill` fills; :func:`hyper_rsp.dense.element_to_dense` adds its
+    dense index, ``cells``, on request."""
+
+    __slots__ = ("layout", "out_schema", "slots", "cells")
+
+    def __init__(self, layout: Layout, out_schema: Schema):
+        self.layout, self.out_schema, self.slots, self.cells = layout, out_schema, {}, None
+
+    def fill(self, element: Element, kets: Iterable[tuple]) -> None:
+        """Slot each of ``kets`` not yet kept by ``element``'s rule and keep it, once
+        every image is checked against the output layout: a bad one raises
+        :class:`SchemaMismatchError` and is not kept."""
+        layout, memo = self.layout, self.slots
+        out_layout = self.out_schema.layout(layout.photon)
+        for ket in kets:
+            if ket not in memo:
+                slots = element.ket_slots(ket, layout)
+                for image, _ in slots or ():
+                    out_layout.validate_ket(image)
+                memo[ket] = slots
+
+
 class Lowering:
-    """One element's lowering on one schema, kept once ``validate`` passes: the
-    photon's validated ``layout``, the ``out_schema`` after the element, and the
-    ket → ``images`` memo (``None`` outside the domain) that :meth:`Element.keep_images`
-    fills, checking each image once; a rotation's ``pattern`` has weight slots for
-    coefficients.  :func:`hyper_rsp.dense.element_to_dense` adds the dense view (``matrix``,
-    ``in_kets``, ``positions``, ``outside``, ``defect``; a pattern's ``cells``) on request.
-    """
+    """One element's lowering on one schema: its ``pattern`` and ``out_schema``, and
+    the dense view (``matrix``, ``in_kets``, ``positions``, ``outside``, ``defect``)
+    that :func:`hyper_rsp.dense.element_to_dense` adds on request."""
 
-    __slots__ = ("layout", "out_schema", "images", "pattern", "cells", "matrix", "in_kets",
-                 "positions", "outside", "defect")
+    __slots__ = ("pattern", "out_schema", "matrix", "in_kets", "positions", "outside", "defect")
 
-    def __init__(self, layout: Layout, out_schema: Schema, pattern: Lowering | None = None):
-        self.layout, self.out_schema, self.images, self.matrix = layout, out_schema, {}, None
-        self.pattern, self.cells = pattern, None
-
-
+    def __init__(self, pattern: Pattern):
+        self.pattern, self.out_schema, self.matrix = pattern, pattern.out_schema, None
 
 
 @dataclass(frozen=True)
@@ -145,16 +163,20 @@ class Element:
 
     An element declares three hooks, each receiving only the acting photon's
     :class:`Layout`: :meth:`validate`, :meth:`output_registers` and
-    :meth:`ket_image`, which also gets that photon's value tuple (its ket).
-    :meth:`apply` and :meth:`output_schema`, the only methods that see the
-    two-photon :class:`Schema`, are derived: :meth:`apply` splits each
-    two-photon label once and reassembles it around the image.  Where
-    :meth:`ket_image` returns ``None`` the map is not defined: the sparse
-    :meth:`apply` rejects such a support ket, and the dense lowering builds its
-    matrix over the kets where it is defined.
+    :meth:`ket_slots`, which also gets that photon's value tuple (its ket), and
+    the coefficients its slots index, :attr:`weights`.  :meth:`apply` and
+    :meth:`output_schema`, the only methods that see the two-photon
+    :class:`Schema`, are derived: :meth:`apply` splits each two-photon label once
+    and reassembles it around the image.  Where :meth:`ket_slots` returns
+    ``None`` the map is not defined: the sparse :meth:`apply` rejects such a
+    support ket, and the dense lowering builds its matrix over the kets where it
+    is defined.
     """
 
     photon: str
+
+    #: The coefficients the slots of :meth:`ket_slots` index (a relabeling's: 1).
+    weights = (1.0 + 0j,)
 
     # -- declaration hooks -------------------------------------------------
     def validate(self, layout: Layout) -> None:
@@ -164,11 +186,16 @@ class Element:
         """The photon's registers after the element (default: unchanged)."""
         return layout.registers
 
-    def ket_image(self, ket: tuple, layout: Layout) -> list[tuple[tuple, complex]] | None:
-        """``ket``'s image as (ket, coefficient) pairs; ``None`` outside the domain."""
+    def ket_slots(self, ket: tuple, layout: Layout) -> list[tuple[tuple, int]] | None:
+        """``ket``'s images, each with its slot in :attr:`weights`; ``None`` outside the domain."""
         raise NotImplementedError
 
     # -- derived -----------------------------------------------------------
+    def ket_image(self, ket: tuple, layout: Layout) -> list[tuple[tuple, complex]] | None:
+        """``ket``'s image as (ket, coefficient) pairs; ``None`` outside the domain."""
+        slots = self.ket_slots(ket, layout)
+        return None if slots is None else [(image, self.weights[slot]) for image, slot in slots]
+
     def output_schema(self, schema: Schema) -> Schema:
         """``schema`` itself, or the interned schema with the photon's registers
         replaced by :meth:`output_registers`."""
@@ -184,51 +211,45 @@ class Element:
     def _lowerings(self) -> dict[Schema, Lowering]:
         return {}
 
+    def _kept_patterns(self, schema: Schema) -> tuple[dict, Hashable]:
+        """Where the pattern on ``schema`` is kept, as a dict and its key: a fixed
+        optic's is its own, kept only through its lowering."""
+        return {}, schema
+
     def lowering(self, schema: Schema) -> Lowering:
-        """The one :class:`Lowering` on ``schema``, built and kept once
-        ``validate`` passes; a failed ``validate`` keeps nothing."""
+        """The one :class:`Lowering` on ``schema``, wrapping the pattern found or
+        built once ``validate`` passes; a failed ``validate`` keeps neither."""
         lowering = self._lowerings.get(schema)
         if lowering is None:
-            layout = schema.layout(self.photon)
-            self.validate(layout)
-            lowering = self._lowerings[schema] = Lowering(layout, self.output_schema(schema))
+            patterns, key = self._kept_patterns(schema)
+            pattern = patterns.get(key)
+            if pattern is None:
+                layout = schema.layout(self.photon)
+                self.validate(layout)
+                pattern = patterns[key] = Pattern(layout, self.output_schema(schema))
+            lowering = self._lowerings[schema] = Lowering(pattern)
         return lowering
-
-    def keep_images(self, lowering: Lowering, kets: Iterable[tuple]) -> None:
-        """Image each of ``kets`` not yet kept on ``lowering`` and keep it, once
-        every image is checked against the output layout: a bad one raises
-        :class:`SchemaMismatchError` and is not kept."""
-        layout, memo = lowering.layout, lowering.images
-        out_layout = lowering.out_schema.layout(self.photon)
-        for ket in kets:
-            if ket in memo:
-                continue
-            images = self.ket_image(ket, layout)
-            for image, _ in images or ():
-                if image not in out_layout.index:
-                    out_layout.validate_ket(image)
-            memo[ket] = images
 
     def apply(self, state: StateVector) -> StateVector:
         schema = state.schema
         lowering = self.lowering(schema)
-        memo = lowering.images
+        memo, weights = lowering.pattern.slots, self.weights
         on_a = self.photon == "A"
         acc: dict[Label, complex] = {}
         for label, amp in state.amplitudes.items():
             ket, rest = label if on_a else label[::-1]
-            images = memo.get(ket, _UNSEEN)
-            if images is _UNSEEN:
-                self.keep_images(lowering, (ket,))
-                images = memo[ket]
-            if images is None:
+            slots = memo.get(ket, _UNSEEN)
+            if slots is _UNSEEN:
+                lowering.pattern.fill(self, (ket,))
+                slots = memo[ket]
+            if slots is None:
                 raise CorrelationError(
                     f"{type(self).__name__}: ket {schema.format_label(label)} lies "
                     "outside the element's legal domain"
                 )
-            for image, coeff in images:
+            for image, slot in slots:
                 new_label = (image, rest) if on_a else (rest, image)
-                acc[new_label] = acc.get(new_label, 0j) + amp * coeff
+                acc[new_label] = acc.get(new_label, 0j) + amp * weights[slot]
         # every label is a checked image beside a label of the input state
         return StateVector.settle(lowering.out_schema, acc)
 
@@ -246,20 +267,19 @@ def _without(entries: tuple, position: int) -> tuple:
 @dataclass(frozen=True)
 class Rotation(Element):
     """The rotation by ``angle`` on the values ``pair`` = (u, v) of ``register``,
-    only on ``paths`` when set.  Its ``pattern``, each image's slot in :attr:`weights`,
-    is kept once per shape (type, photon, pair and paths: all but the angle) and schema."""
+    only on ``paths`` when set.  Its pattern is kept once per shape (type, photon,
+    pair and paths: all but the angle) and schema, and shared by every angle."""
 
     paths = None
     #: The one pattern of each shape on each schema, shared by every angle.
-    _patterns: ClassVar[dict[tuple, Lowering]] = {}
+    _patterns: ClassVar[dict[tuple, Pattern]] = {}
 
     @functools.cached_property
     def weights(self) -> tuple[complex, float, float, float]:
         c, s = math.cos(self.angle), math.sin(self.angle)
         return (1.0 + 0j, c, s, -s)
 
-    def ket_slots(self, ket: tuple, layout: Layout) -> list[tuple[tuple, int]]:
-        """``ket``'s images, each with its slot in :attr:`weights`."""
+    def ket_slots(self, ket, layout):
         position, (u, v) = layout.positions[self.register], self.pair
         elsewhere = self.paths is not None and ket[layout.positions["path"]] not in self.paths
         if elsewhere or ket[position] not in (u, v):
@@ -267,10 +287,6 @@ class Rotation(Element):
         if ket[position] == u:
             return [(_with(ket, position, u), 1), (_with(ket, position, v), 2)]
         return [(_with(ket, position, u), 3), (_with(ket, position, v), 1)]
-
-    def ket_image(self, ket, layout):
-        weights = self.weights
-        return [(image, weights[slot]) for image, slot in self.ket_slots(ket, layout)]
 
     def validate(self, layout: Layout) -> None:
         register = layout.register(self.register)
@@ -281,28 +297,8 @@ class Rotation(Element):
             for p in self.paths:
                 path.index(p)
 
-    def lowering(self, schema: Schema) -> Lowering:
-        lowering = self._lowerings.get(schema)
-        if lowering is None:
-            key = (type(self), self.photon, self.pair, self.paths, schema)
-            pattern = Rotation._patterns.get(key)
-            if pattern is None:  # a failed validate or check keeps neither lowering
-                layout = schema.layout(self.photon)
-                self.validate(layout)
-                pattern = Lowering(layout, self.output_schema(schema))
-                pattern.images = {ket: self.ket_slots(ket, layout) for ket in layout.kets}
-                for images in pattern.images.values():
-                    for image, _ in images:
-                        pattern.out_schema.layout(self.photon).validate_ket(image)
-                Rotation._patterns[key] = pattern
-            lowering = self._lowerings[schema] = Lowering(pattern.layout, pattern.out_schema, pattern)
-        return lowering
-
-    def keep_images(self, lowering: Lowering, kets: Iterable[tuple]) -> None:
-        memo, slots, weights = lowering.images, lowering.pattern.images, self.weights
-        for ket in kets:
-            if ket not in memo:
-                memo[ket] = [(image, weights[slot]) for image, slot in slots[ket]]
+    def _kept_patterns(self, schema):
+        return Rotation._patterns, (type(self), self.photon, self.pair, self.paths, schema)
 
 
 @dataclass(frozen=True)
@@ -360,8 +356,8 @@ class WavelengthRouter(Element):
     def output_registers(self, layout):
         return layout.registers + (path_register(self.registry),)
 
-    def ket_image(self, ket, layout):
-        return [(ket + (self.routing[ket[layout.positions["freq"]]],), 1.0 + 0j)]
+    def ket_slots(self, ket, layout):
+        return [(ket + (self.routing[ket[layout.positions["freq"]]],), 0)]
 
 
 @dataclass(frozen=True)
@@ -389,11 +385,11 @@ class FrequencyEraser(Element):
     def output_registers(self, layout):
         return _without(layout.registers, layout.position("freq"))
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         i_freq = layout.positions["freq"]
         if ket[i_freq] != self.correlation[ket[layout.positions["path"]]]:
             return None
-        return [(_without(ket, i_freq), 1.0 + 0j)]
+        return [(_without(ket, i_freq), 0)]
 
 
 @dataclass(frozen=True)
@@ -450,17 +446,17 @@ class PolarizingRouter(Element):
         """The (polarization, path) pairs the routed inputs are sent to."""
         return frozenset((pol, target) for (pol, _), target in self.routing.items())
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         pol = ket[layout.positions["pol"]]
         if self._entry():
-            return [(ket + (self.routing[pol],), 1.0 + 0j)]
+            return [(ket + (self.routing[pol],), 0)]
         i_path = layout.positions["path"]
         key = (pol, ket[i_path])
         if key in self.routing:
-            return [(_with(ket, i_path, self.routing[key]), 1.0 + 0j)]
+            return [(_with(ket, i_path, self.routing[key]), 0)]
         if key in self._images:  # an unused input port a routed input is sent to
             return None
-        return [(ket, 1.0 + 0j)]
+        return [(ket, 0)]
 
 
 @dataclass(frozen=True)
@@ -476,17 +472,17 @@ class LongArmDelay(Element):
         layout.register("time")
         layout.register("path").index(self.path)
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         if (
             ket[layout.positions["path"]] != self.path
             or ket[layout.positions["pol"]] != self.long_arm_polarization
         ):
-            return [(ket, 1.0 + 0j)]
+            return [(ket, 0)]
         i_time = layout.positions["time"]
         later = ket[i_time] + 1
         if later not in layout.registers[i_time].values:  # no later bin to move into
             return None
-        return [(_with(ket, i_time, later), 1.0 + 0j)]
+        return [(_with(ket, i_time, later), 0)]
 
 
 @dataclass(frozen=True)
@@ -506,11 +502,11 @@ class DropUniformRegister(Element):
     def output_registers(self, layout):
         return _without(layout.registers, layout.position(self.register))
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         position = layout.positions[self.register]
         if ket[position] != self.expected_value:
             return None
-        return [(_without(ket, position), 1.0 + 0j)]
+        return [(_without(ket, position), 0)]
 
 
 @dataclass(frozen=True)
@@ -531,14 +527,14 @@ class HalfWavePlate(Element):
         for p in self.paths:
             path.index(p)
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         if ket[layout.positions["path"]] not in self.paths or (
             self.time_value is not None and ket[layout.positions["time"]] != self.time_value
         ):
-            return [(ket, 1.0 + 0j)]
+            return [(ket, 0)]
         i_pol = layout.positions["pol"]
         flipped = "V" if ket[i_pol] == "H" else "H"
-        return [(_with(ket, i_pol, flipped), 1.0 + 0j)]
+        return [(_with(ket, i_pol, flipped), 0)]
 
 
 @dataclass(frozen=True)
@@ -561,6 +557,8 @@ class BalancedSplitter(Element):
     inputs: tuple[str, str]
     outputs: tuple[str, str]
 
+    weights = (1.0 + 0j, 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
+
     def validate(self, layout: Layout) -> None:
         if len(set(self.inputs)) != 2 or len(set(self.outputs)) != 2:
             raise ValueError(f"splitter ports must be distinct: {self.inputs} -> {self.outputs}")
@@ -568,18 +566,17 @@ class BalancedSplitter(Element):
         for p in self.inputs + self.outputs:
             path.index(p)
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         i_path = layout.positions["path"]
         in1, in2 = self.inputs
         out1, out2 = self.outputs
-        r = 1.0 / math.sqrt(2.0)
         if ket[i_path] == in1:
-            return [(_with(ket, i_path, out1), r), (_with(ket, i_path, out2), r)]
+            return [(_with(ket, i_path, out1), 1), (_with(ket, i_path, out2), 1)]
         if ket[i_path] == in2:
-            return [(_with(ket, i_path, out1), r), (_with(ket, i_path, out2), -r)]
+            return [(_with(ket, i_path, out1), 1), (_with(ket, i_path, out2), 2)]
         if ket[i_path] in self.outputs:  # a fresh output port: it would collide with the images
             return None
-        return [(ket, 1.0 + 0j)]
+        return [(ket, 0)]
 
 
 @dataclass(frozen=True)
@@ -588,6 +585,8 @@ class PauliOp(Element):
     its ``_PAULI_ACTIONS`` entry."""
 
     string: PauliString
+
+    weights = (1.0 + 0j, -1.0 + 0j)
 
     def validate(self, layout: Layout) -> None:
         for register, _ in self.string.factors:
@@ -598,16 +597,16 @@ class PauliOp(Element):
                     f"{len(values)} values"
                 )
 
-    def ket_image(self, ket, layout):
-        image, sign = ket, 1.0
+    def ket_slots(self, ket, layout):
+        image, slot = ket, 0
         for register, axis in self.string.factors:
             position = layout.positions[register]
             values = layout.registers[position].values
             if ket[position] not in values:
                 return None
-            index, factor_sign = _PAULI_ACTIONS[axis][values.index(ket[position])]
-            image, sign = _with(image, position, values[index]), sign * factor_sign
-        return [(image, sign + 0j)]
+            index, sign = _PAULI_ACTIONS[axis][values.index(ket[position])]
+            image, slot = _with(image, position, values[index]), slot ^ sign
+        return [(image, slot)]
 
 
 @functools.cache

@@ -3,7 +3,8 @@
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,12 @@ from hyper_rsp.elements import (
     PockelsCell,
     PolarizationRotation,
     PolarizingRouter,
+    Rotation,
     UnbalancedSplitter,
     WavelengthRouter,
     all_pauli_strings,
 )
-from hyper_rsp.protocols import TB_PATHS, build_circuit
+from hyper_rsp.protocols import TB_PATHS, build_circuit, run_protocol
 from hyper_rsp.states import (
     PARAM_TOL,
     ProtocolKind,
@@ -309,19 +311,19 @@ def test_receiver_corrections_factor_exactly(schema):
 class PolarizeToH(Element):
     """Seeded defect: sends both polarizations to |H>, which is no isometry."""
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         i_pol = layout.positions["pol"]
-        return [(ket[:i_pol] + ("H",) + ket[i_pol + 1 :], 1.0 + 0j)]
+        return [(ket[:i_pol] + ("H",) + ket[i_pol + 1 :], 0)]
 
 
 @dataclass(frozen=True)
 class KeepV(Element):
     """A partial map: the identity on |V⟩ kets, undefined on |H⟩ kets."""
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         if ket[layout.positions["pol"]] == "H":
             return None
-        return [(ket, 1.0 + 0j)]
+        return [(ket, 0)]
 
 
 @pytest.mark.parametrize("photon", ["A", "B"])
@@ -391,9 +393,9 @@ class Spy(Element):
 
     imaged: list = field(default_factory=list, compare=False)
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         self.imaged.append((ket, layout))
-        return [(ket, 1.0 + 0j)]
+        return [(ket, 0)]
 
 
 SWAP = {"H": "V", "V": "H", "w1": "w2", "w2": "w1", 0: 1, 1: 0}
@@ -548,3 +550,59 @@ def test_kept_mask_still_rejects_stray_amplitude():
     for _ in range(2):  # the mask is read from the kept lowering both times
         with pytest.raises(ValueError, match="outside the element's legal domain"):
             apply_dense(bad, state_to_vector(routed), routed.schema)
+
+
+@dataclass(frozen=True)
+class Nowhere(Element):
+    """A map defined on no ket at all."""
+
+    def ket_slots(self, ket, layout):
+        return None
+
+
+@pytest.mark.parametrize("photon", ["A", "B"])
+def test_an_element_with_an_empty_domain_has_no_matrix(photon):
+    element, state = Nowhere(photon), make_hyper_bell(PF)
+    for _ in range(2):  # nothing half-built is kept
+        with pytest.raises(CorrelationError, match="^Nowhere: the element's domain is empty$"):
+            element_to_dense(element, state.schema)
+        with pytest.raises(CorrelationError, match="^Nowhere: ket .* outside"):
+            element.apply(state)
+    assert element.lowering(state.schema).matrix is None
+
+
+def _element_classes(cls=Element):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _element_classes(sub)
+
+
+def test_warmed_runs_slot_no_ket(monkeypatch):
+    """After one sparse and one dense run of each protocol, a new target's
+    ``run_protocol`` and ``evolve_dense`` call no element's ``ket_slots``: the
+    fixed optics, the corrections' PauliOps and every rotation shape reuse their
+    kept patterns.  The dense run is part of the warm-up because the dense route
+    also slots the kets off the sparse support."""
+    warm, fresh = TargetParams.from_angles(0.3, 1.1, 2.0), TargetParams.from_angles(0.9, 0.4, 1.7)
+    for kind in (PF, TB):
+        run_protocol(kind, warm)
+        evolve_dense(build_circuit(kind, warm), make_hyper_bell(kind))
+    calls = Counter()
+    for cls in {sub for sub in _element_classes() if "ket_slots" in vars(sub)}:
+
+        def counted(self, ket, layout, rule=vars(cls)["ket_slots"]):
+            calls[type(self).__name__] += 1
+            return rule(self, ket, layout)
+
+        monkeypatch.setattr(cls, "ket_slots", counted)
+    for kind in (PF, TB):
+        run_protocol(kind, fresh)
+        evolve_dense(build_circuit(kind, fresh), make_hyper_bell(kind))
+    assert calls == Counter()
+    # the count does see calls: a copy of each fixed optic keeps its own pattern
+    for kind in (PF, TB):
+        circuit = build_circuit(kind, fresh)
+        evolve_dense([replace(element) for element in circuit], make_hyper_bell(kind))
+        fixed = {type(e).__name__ for e in circuit if not isinstance(e, Rotation)}
+        assert set(calls) == fixed, kind
+        calls.clear()

@@ -701,7 +701,7 @@ def test_one_element_keeps_one_lowering_per_schema():
 
 def reference_rotate(ket, position, pair, angle):
     """The rotation rule written ket by ket, cos and sin computed per call: the
-    images every rotation's ``ket_image`` and kept images must match by ``repr``."""
+    images every rotation's ``ket_image`` and weighted kept slots must match by ``repr``."""
     if ket[position] not in pair:
         return [(ket, 1.0 + 0j)]
     u, v = pair
@@ -742,12 +742,13 @@ def test_rotation_images_match_the_per_ket_rule(kind, params):
     for element, schema in _walk(kind, params):
         if isinstance(element, Rotation):
             layout = schema.layout(element.photon)
-            lowering = element.lowering(schema)
-            element.keep_images(lowering, layout.kets)
+            pattern, weights = element.lowering(schema).pattern, element.weights
+            pattern.fill(element, layout.kets)
             for ket in layout.kets:
                 reference = repr(reference_rotation_image(element, ket, layout))
                 assert repr(element.ket_image(ket, layout)) == reference, (element, ket)
-                assert repr(lowering.images[ket]) == reference, (element, ket)
+                kept = [(image, weights[slot]) for image, slot in pattern.slots[ket]]
+                assert repr(kept) == reference, (element, ket)
 
 
 def test_rotations_of_one_shape_share_one_pattern():
@@ -806,9 +807,9 @@ class Counted(Element):
         if self.calls["validate"] <= self.failures:
             raise SchemaMismatchError("not yet")
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         self.calls[ket] += 1
-        return None if ket == self.refused else [(ket, 1.0 + 0j)]
+        return None if ket == self.refused else [(ket, 0)]
 
 
 def test_a_failed_validate_is_not_kept():
@@ -845,15 +846,15 @@ def test_a_ket_outside_the_domain_raises_from_the_memo_too():
 @dataclass(frozen=True)
 class Misimaged(Element):
     """The identity except that it sends ``ket`` to ``image``, counting its
-    ``ket_image`` calls per ket."""
+    ``ket_slots`` calls per ket."""
 
     ket: tuple = ()
     image: tuple = ()
     calls: Counter = field(default_factory=Counter, compare=False)
 
-    def ket_image(self, ket, layout):
+    def ket_slots(self, ket, layout):
         self.calls[ket] += 1
-        return [(self.image if ket == self.ket else ket, 1.0 + 0j)]
+        return [(self.image if ket == self.ket else ket, 0)]
 
 
 @pytest.mark.parametrize(
@@ -873,7 +874,7 @@ def test_an_image_outside_the_output_register_raises_and_is_not_kept(photon, ket
             element.apply(state)
         assert str(raised.value) == message
         assert element.calls[ket] == calls
-    kept = element.lowering(state.schema).images
+    kept = element.lowering(state.schema).pattern.slots
     assert ket not in kept and len(kept) == 1
     # the dense route reads the same images and meets the same check
     with pytest.raises(SchemaMismatchError) as raised:
