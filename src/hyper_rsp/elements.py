@@ -191,11 +191,6 @@ class Element:
         raise NotImplementedError
 
     # -- derived -----------------------------------------------------------
-    def ket_image(self, ket: tuple, layout: Layout) -> list[tuple[tuple, complex]] | None:
-        """``ket``'s image as (ket, coefficient) pairs; ``None`` outside the domain."""
-        slots = self.ket_slots(ket, layout)
-        return None if slots is None else [(image, self.weights[slot]) for image, slot in slots]
-
     def output_schema(self, schema: Schema) -> Schema:
         """``schema`` itself, or the interned schema with the photon's registers
         replaced by :meth:`output_registers`."""

@@ -10,25 +10,31 @@ the efficiency module reads off the same table.
 Randomness contract: all sampling uses numpy's Philox 4x64 counter-based
 generator.  Trials are processed in fixed chunks of ``CHUNK_TRIALS``; chunk
 ``c`` of a run seeded with ``s`` draws from ``Philox(key=[s, c])``, so every
-chunk's trials are a pure function of (seed, chunk index).  Results are
-identical across platforms and independent of how chunks are distributed over
-workers.  Each trial consumes three 64-bit words, in column order: outcome
-draw, sender's detector, receiver's detector.  A word w stands for the uniform
-u = (w >> 11)·2⁻⁵³ that ``Generator.random`` would return, and the sampler
-compares words, not floats: u < x exactly when w < ``word_limit(x)``.  Only
-detected trials have their outcome drawn (an index depends on its own word
-alone, so each gets the index a draw over every trial would give it).  Seeds
-and chunk indices are integers in [0, 2^64).
+chunk's trials are a pure function of (seed, chunk index).  A run of more
+chunks than the process has usable CPUs (its affinity set) is cut into one
+contiguous slice of chunks per CPU: the calling thread tallies the first slice
+and helper threads the others, while numpy's raw draw runs without the GIL.
+Each chunk's detections and fidelity sum are then added in chunk order, the
+additions the serial loop makes, so results are identical across platforms and
+bit-identical for any CPU count.  Each trial consumes three 64-bit words, in
+column order: outcome draw, sender's detector, receiver's detector.  A word w
+stands for the uniform u = (w >> 11)·2⁻⁵³ that ``Generator.random`` would
+return, and the sampler compares words, not floats: u < x exactly when w <
+``word_limit(x)``.  Only detected trials have their outcome drawn (an index
+depends on its own word alone, so each gets the index a draw over every trial
+would give it).  Seeds and chunk indices are integers in [0, 2^64).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so the codec (all that ``verify`` uses of this module)
-loads without it.
+loads without it; ``concurrent.futures`` is imported when helpers first start.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+from _thread import allocate_lock  # threading's own lock, without importing threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -159,6 +165,55 @@ def word_limit(x: float) -> int:
     return math.ceil(x * 2**53) << 11
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: Threads that tally a run's chunks: the calling thread and ``_WORKERS - 1`` helpers.
+_WORKERS = _usable_cpus()
+_helpers = None
+_helpers_lock = allocate_lock()
+
+
+def _drop_helpers() -> None:
+    """A forked child inherits the pool but not its threads: build a new one."""
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, allocate_lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _spread(tally, chunks: range) -> list:
+    """``tally(chunks)``, computed over contiguous slices of ``chunks``: the
+    calling thread tallies the first slice and helper threads the others, each
+    slice's list joined in chunk order.  Helpers start only when there are more
+    chunks than workers, so a one-CPU process never starts a thread."""
+    global _helpers
+    if _WORKERS < 2 or len(chunks) <= _WORKERS:
+        return tally(chunks)
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="hyper-rsp-tally")
+    bounds = [len(chunks) * k // _WORKERS for k in range(_WORKERS + 1)]
+    futures = [_helpers.submit(tally, chunks[start:stop])
+               for start, stop in zip(bounds[1:-1], bounds[2:])]
+    try:
+        tallies = tally(chunks[: bounds[1]])
+    finally:
+        wait(futures)  # no helper outlives the call, not even when the calling thread raised
+    for future in futures:
+        tallies += future.result()
+    return tallies
+
+
 class BranchSampler:
     """Exact branch table of one protocol, ready for repeated outcome draws."""
 
@@ -223,17 +278,25 @@ def sample_with_loss(
         raise ValueError(f"trials must be positive, got {trials}")
     sampler = BranchSampler(kind, params)
     fidelities = np.array([b.fidelity_post for b in sampler.branches])
-    detected = 0
-    fidelity_sum = 0.0
     # η_d = 1 has the limit 2**64, past every word: every trial clicks
     click_limit = np.uint64(word_limit(eta_d)) if eta_d < 1.0 else None
-    for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
-        outcome, sender, receiver = chunk_words(seed, trials, chunk_index).T
-        if click_limit is not None:
-            outcome = outcome.compress(np.maximum(sender, receiver) < click_limit)
-        indices = sampler.draw_many(outcome)
-        detected += indices.size
-        fidelity_sum += float(fidelities.take(indices).sum())
+
+    def tally(chunks: range) -> list[tuple[int, float]]:
+        """Each chunk's detections and fidelity sum, in chunk order."""
+        tallies = []
+        for chunk_index in chunks:
+            outcome, sender, receiver = chunk_words(seed, trials, chunk_index).T
+            if click_limit is not None:
+                outcome = outcome.compress(np.maximum(sender, receiver) < click_limit)
+            indices = sampler.draw_many(outcome)
+            tallies.append((indices.size, float(fidelities.take(indices).sum())))
+        return tallies
+
+    detected = 0
+    fidelity_sum = 0.0
+    for chunk_detected, chunk_fidelity in _spread(tally, range(math.ceil(trials / CHUNK_TRIALS))):
+        detected += chunk_detected
+        fidelity_sum += chunk_fidelity
     # the math.nan singleton, so that two runs with no detection compare equal
     mean_fidelity = fidelity_sum / detected if detected else math.nan
     return SampleStats(

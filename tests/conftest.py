@@ -50,6 +50,14 @@ def assert_amplitudes_equal(state: StateVector, expected: dict, tol: float = 1e-
         )
 
 
+def ket_image(element, ket: tuple, layout) -> list | None:
+    """The per-ket rule: ``ket``'s images under ``element`` as (ket, coefficient)
+    pairs, each slot of ``ket_slots`` weighed by ``element.weights``; ``None``
+    outside the domain."""
+    slots = element.ket_slots(ket, layout)
+    return None if slots is None else [(image, element.weights[slot]) for image, slot in slots]
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(key=20240831))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import MEMO_TARGETS, target_params
+from conftest import MEMO_TARGETS, ket_image, target_params
 from hyper_rsp.dense import (
     apply_dense,
     element_to_dense,
@@ -175,7 +175,7 @@ def own_ket(element, label):
 def assert_routes_agree_ket_by_ket(element, schema):
     """Every basis ket alone: both routes accept it exactly on the domain, and agree."""
     layout = schema.layout(element.photon)
-    own_domain = {ket for ket in layout.kets if element.ket_image(ket, layout) is not None}
+    own_domain = {ket for ket in layout.kets if ket_image(element, ket, layout) is not None}
     basis = np.eye(schema.dimension())
     for i, label in enumerate(schema.labels()):
         try:
@@ -240,14 +240,14 @@ def full_space_lowering(element, schema):
     in_labels = [
         label
         for label in schema.labels()
-        if element.ket_image(own_ket(element, label), layout) is not None
+        if ket_image(element, own_ket(element, label), layout) is not None
     ]
     out_labels = element.output_schema(schema).labels()
     out_index = {label: i for i, label in enumerate(out_labels)}
     matrix = np.zeros((len(out_labels), len(in_labels)), dtype=complex)
     for j, label in enumerate(in_labels):
         ket, rest = label if on_a else label[::-1]
-        for image, coeff in element.ket_image(ket, layout):
+        for image, coeff in ket_image(element, ket, layout):
             matrix[out_index[(image, rest) if on_a else (rest, image)], j] += coeff
     return matrix, in_labels
 

@@ -3,6 +3,11 @@
 import bisect
 import itertools
 import math
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -220,17 +225,22 @@ def reference_sample(kind, params, eta_d, trials, seed):
 @pytest.mark.parametrize(
     "eta_d, trials",
     [(eta_d, 2 * CHUNK_TRIALS + 77) for eta_d in (0.0, 0.37, 0.8, 1.0, 2**-60, 1 - 2**-53)]
-    + [(0.01, 2 * CHUNK_TRIALS + 3)],
-    ids=["0.0", "0.37", "0.8", "1.0", "2**-60", "1-2**-53", "0.01-last-chunk-of-3"],
+    + [(0.01, 2 * CHUNK_TRIALS + 3), (0.8, 777), (0.8, 2 * CHUNK_TRIALS),
+       (0.8, 8 * CHUNK_TRIALS + 77)],
+    ids=["0.0", "0.37", "0.8", "1.0", "2**-60", "1-2**-53", "0.01-last-chunk-of-3",
+         "0.8-1-chunk", "0.8-2-chunks", "0.8-9-chunks"],
 )
 @pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
-def test_sample_with_loss_equals_reference_loop(kind, eta_d, trials):
+def test_sample_with_loss_equals_reference_loop(kind, eta_d, trials, monkeypatch):
     """Bit-identical stats (equal under ``==``, a run with no detection
     included) and per-chunk outcome counts, short last chunk included, on a
     target whose branch fidelities are not all exactly 1.0.  At η_d = 0.01
     some chunks detect trials and the 3-trial last one detects none; 2⁻⁶⁰
     (limit word 2**11) and 1 − 2⁻⁵³ (the top 53-bit uniform is not below it)
-    are the word thresholds' boundaries."""
+    are the word thresholds' boundaries.  Each of 1, 2 and 3 workers gives the
+    same stats: with more chunks than workers the calling thread tallies the
+    first contiguous slice and helper threads the rest, otherwise it tallies
+    every chunk."""
     params, seed = random_params(5), 41
     sampler = BranchSampler(kind, params)
     assert any(branch.fidelity_post != 1.0 for branch in sampler.branches)
@@ -239,12 +249,73 @@ def test_sample_with_loss_equals_reference_loop(kind, eta_d, trials):
     )
     if eta_d == 0.01:
         assert chunk_detected[-1] == 0 and any(chunk_detected)
-    stats = sample_with_loss(kind, params, eta_d, trials, seed)
-    assert stats == expected
+    chunks, tallied_by = len(expected_counts), {}
+
+    def spy(seed, trials, chunk_index):
+        tallied_by[chunk_index] = threading.get_ident()
+        return chunk_words(seed, trials, chunk_index)
+
+    monkeypatch.setattr(runtime, "chunk_words", spy)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(runtime, "_WORKERS", workers)
+        tallied_by.clear()
+        assert sample_with_loss(kind, params, eta_d, trials, seed) == expected, workers
+        own = chunks // workers if chunks > workers else chunks
+        assert sorted(tallied_by) == list(range(chunks))
+        assert [tallied_by[c] == threading.get_ident() for c in range(chunks)] == (
+            [True] * own + [False] * (chunks - own)
+        ), workers
     for chunk_index, counts in enumerate(expected_counts):
         outcomes = chunk_words(seed, trials, chunk_index)[:, 0]
         drawn = np.bincount(sampler.draw_many(outcomes), minlength=len(sampler.branches))
         assert drawn.tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_slices_join_in_chunk_order(workers, monkeypatch):
+    """The slices' tallies come back in chunk order.  A float sum depends on
+    the order of its terms, but the near-1 branch fidelities above give the
+    same sums in most orders, so the order is pinned here on chunk indices."""
+    monkeypatch.setattr(runtime, "_WORKERS", workers)
+    assert runtime._spread(list, range(9)) == list(range(9))
+
+
+def test_concurrent_runs_on_more_workers_than_cpus_match_the_serial_runs(
+    generic_params, monkeypatch
+):
+    """Four callers at once, each run on five workers, with the thread switch
+    interval cut to a microsecond: each still gets its serial run's stats."""
+    trials = 9 * CHUNK_TRIALS - 5
+    monkeypatch.setattr(runtime, "_WORKERS", 1)
+    serial = [sample_with_loss(TB, generic_params, 0.8, trials, seed) for seed in range(4)]
+    monkeypatch.setattr(runtime, "_WORKERS", 5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            runs = [callers.submit(sample_with_loss, TB, generic_params, 0.8, trials, seed)
+                    for seed in range(4)]
+            assert [run.result(timeout=60) for run in runs] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_no_helper_outlives_a_run_that_raised(monkeypatch):
+    """When the calling thread's slice raises, the helpers' slices still end
+    before the error reaches the caller."""
+    monkeypatch.setattr(runtime, "_WORKERS", 2)
+    finished = []
+
+    def tally(chunks):
+        if chunks[0] == 0:
+            raise ValueError("the calling thread's slice failed")
+        time.sleep(0.05)
+        finished.append(chunks)
+        return list(chunks)
+
+    with pytest.raises(ValueError, match="calling thread"):
+        runtime._spread(tally, range(4))
+    assert finished == [range(2, 4)]
 
 
 @pytest.mark.parametrize(
@@ -291,6 +362,34 @@ def test_sample_with_loss_draws_once_per_chunk_and_only_detected(
     assert sum(sizes) == stats.detected
     if eta_d == 0.0:
         assert sizes == [0, 0, 0]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_samples_after_its_parent(generic_params, monkeypatch):
+    """A forked child inherits the parent's helper pool but none of its
+    threads; it must build its own and get the parent's stats, not wait
+    forever on a helper that does not exist."""
+    monkeypatch.setattr(runtime, "_WORKERS", 2)
+    trials = 3 * CHUNK_TRIALS
+    parent = sample_with_loss(PF, generic_params, 0.8, trials, seed=9)
+    assert runtime._helpers is not None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(
+        target=lambda: send.send(sample_with_loss(PF, generic_params, 0.8, trials, seed=9))
+    )
+    child.start()
+    try:
+        assert receive.poll(20), "the forked child did not finish sampling within 20 s"
+        assert receive.recv() == parent
+        child.join(20)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(5)
 
 
 @pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
