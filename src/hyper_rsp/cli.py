@@ -8,15 +8,19 @@ Exit codes: 0 success, 1 verification failure, 2 usage or configuration error.
 Reports are emitted as json, csv, or an aligned table; amplitudes are printed
 as (re, im) pairs with 12 significant digits in canonical basis order, so
 emitted JSON re-parses to bit-identical numbers.
+
+The json text is ``json.dumps(report, indent=2)`` byte for byte, but only the
+report's shape goes through json's indenting (pure-Python) encoder, once per
+shape: each call encodes the scalars with the C encoder in one list and fills
+them into the cached indented layout.  ``json`` and ``csv`` are imported on
+first use, so a table report loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import math
 import re
 import sys
@@ -227,6 +231,8 @@ def _cell(value):
 
 def csv_text(rows: list[dict]) -> str:
     """A header of the first row's keys, then one line per row dict."""
+    import csv
+
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
     writer.writeheader()
@@ -249,13 +255,92 @@ def _csv_rows(command: str, report: dict) -> list[dict]:
     return [{"protocol": name, **entry} for name, entry in report["protocols"].items()]
 
 
+#: Stands for each scalar in a layout.  json escapes this control character
+#: inside strings (as ``\u001f``), so in encoded text a raw one can only be a
+#: separator that :func:`json_text` asked for.
+_MARK = "\x1f"
+_CONTAINERS = (dict, list, tuple)
+
+
+def _flatten(report) -> tuple[tuple, list]:
+    """``report``'s shape key, and its scalars in the order json writes them.
+
+    The key nests as the report does: a dict is ``(dict, keys, str(keys),
+    children)``, a list or tuple (json writes both as arrays) the tuple of its
+    children, a scalar ``None``.  The ``str`` of the keys tells apart keys that
+    compare equal but print differently, such as 1, 1.0 and True, or 0.0 and
+    -0.0."""
+    scalars = []
+    append = scalars.append
+
+    def walk(items) -> tuple:
+        shape = []
+        slot = shape.append
+        for item in items:
+            if not isinstance(item, _CONTAINERS):
+                append(item)
+                slot(None)
+            elif isinstance(item, dict):
+                slot((dict, tuple(item), tuple(map(str, item)), walk(item.values())))
+            else:
+                slot(walk(item))
+        return tuple(shape)
+
+    return walk((report,)), scalars
+
+
+def _skeleton(shape):
+    """The value that ``shape`` stands for, with the marker for each scalar."""
+    if shape is None:
+        return _MARK
+    if shape and shape[0] is dict:
+        return dict(zip(shape[1], map(_skeleton, shape[3])))
+    return list(map(_skeleton, shape))
+
+
+@functools.lru_cache(maxsize=64)  # bounded: json_text takes any value, each shape a layout
+def _layout(shape: tuple, slots: int) -> tuple | None:
+    """The indented json text of one report shape, cut at each of its ``slots``
+    scalars: text at the even places, ``None`` at the odd ones for the scalars
+    to fill.  ``None`` if the cut does not give ``slots + 1`` parts, which only
+    a dict key equal to the marker can cause."""
+    import json
+
+    text = json.dumps(_skeleton(shape[0]), indent=2) + "\n"
+    parts = text.split(json.dumps(_MARK))
+    if len(parts) != slots + 1:
+        return None
+    template = [None] * (2 * slots + 1)
+    template[::2] = parts
+    return tuple(template)
+
+
+def json_text(report) -> str:
+    """``json.dumps(report, indent=2) + "\\n"``, byte for byte, from the layout
+    of the report's shape and one C-encoder call over its scalars."""
+    import json
+
+    try:
+        shape, scalars = _flatten(report)
+    except RecursionError:  # a value that holds itself, for which json raises ValueError
+        template = None
+    else:
+        template = _layout(shape, len(scalars))
+    if template is None:
+        return json.dumps(report, indent=2) + "\n"
+    text = list(template)
+    if scalars:
+        text[1::2] = json.dumps(scalars, separators=(_MARK, ":"))[1:-1].split(_MARK)
+    return "".join(text)
+
+
 _TABLES = {"verify": _verify_table, "sample": _sample_table, "efficiency": _efficiency_table}
 
 
 def render(command: str, report: dict, fmt: str) -> str:
     """One command's report as json, csv, or an aligned table."""
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return json_text(report)
     if fmt == "csv":
         return csv_text(_csv_rows(command, report))
     return _TABLES[command](report)

@@ -6,17 +6,21 @@ log₂ of each receiver register's size (two two-valued registers, 2 qubits),
 the hyper-entangled channel holds them once per photon (4 qubits), and the
 classical cost is the message's payload width, ⌈log₂⌉ of the detector count
 in the protocol's table: 2 bits versus 3.  So the fractions 1/3 and 2/7 are
-exact and compared without tolerance.
+exact and compared without tolerance.  ``fractions`` is imported on first use,
+so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .protocols import outcome_registry
 from .states import ProtocolKind, hyper_bell_schema
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,8 @@ class EfficiencyInput:
 
 def efficiency(inputs: EfficiencyInput) -> Fraction:
     """Exact reduced fraction, never floating point."""
+    from fractions import Fraction
+
     return Fraction(inputs.transmitted_qubits, inputs.channel_qubits + inputs.classical_bits)
 
 

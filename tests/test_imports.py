@@ -1,5 +1,5 @@
-"""Import rules: no ``hyper_rsp`` module imports numpy at module level, and
-importing the package derives no protocol table.
+"""Import rules: no ``hyper_rsp`` module imports numpy, json, csv or fractions
+at module level, and importing the package derives no protocol table.
 
 ``verify`` and ``efficiency`` never compute with numpy, so a fresh process
 that runs them must not load it, nor start a thread; ``sample`` loads numpy on
@@ -37,6 +37,24 @@ assert hyper_rsp.cli.main(["efficiency"]) == 0
 assert "numpy" not in sys.modules, "numpy loaded"
 assert "concurrent.futures" not in sys.modules, "concurrent.futures loaded"
 assert threading.active_count() == 1, threading.enumerate()
+""")
+    assert done.returncode == 0, done.stderr
+
+
+def test_table_reports_load_neither_json_nor_csv():
+    """json and csv are imported by the format that writes them, and fractions
+    (with decimal) by the efficiency report, each on first use."""
+    done = run_fresh(f"""
+import sys
+from hyper_rsp import cli
+for protocol in ("pf", "tb"):
+    assert cli.main(["verify", "--protocol", protocol, {PARAMS}, "--format", "table"]) == 0
+loaded = [name for name in ("json", "csv", "fractions", "decimal") if name in sys.modules]
+assert not loaded, f"verify loaded {{loaded}}"
+assert cli.main(["efficiency", "--format", "table"]) == 0
+loaded = [name for name in ("json", "csv") if name in sys.modules]
+assert not loaded, f"efficiency loaded {{loaded}}"
+assert "fractions" in sys.modules, "fractions not loaded"
 """)
     assert done.returncode == 0, done.stderr
 
