@@ -8,7 +8,6 @@ one ``hyper-rsp sample --params random --seed`` draws.
 """
 
 import argparse
-import contextlib
 import math
 import sys
 
@@ -33,7 +32,7 @@ def main():
 
     kind = ProtocolKind.parse(args.protocol)
     params = cli.random_params(args.seed)
-    with open_csv(parser, args.csv) as csv_file:
+    with cli.open_output(parser, args.csv, "--csv") as csv_file:
         rows = sweep(kind, params, args.trials, args.seed, args.points)
         header = list(rows[0])
         print("  ".join(f"{name:>20}" for name in header))
@@ -43,17 +42,6 @@ def main():
             csv_file.write(cli.csv_text(rows))
     if args.csv:
         print(f"wrote {args.csv}", file=sys.stderr)
-
-
-def open_csv(parser, path):
-    """The --csv file, opened before the sweep so that a path that cannot be
-    written is a usage error up front; a null context without --csv."""
-    if not path:
-        return contextlib.nullcontext()
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        parser.error(f"cannot write --csv {path}: {exc.strerror}")
 
 
 def sweep(kind, params, trials, seed, points):

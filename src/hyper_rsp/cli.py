@@ -19,6 +19,7 @@ first use, so a table report loads neither.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import math
@@ -346,16 +347,15 @@ def render(command: str, report: dict, fmt: str) -> str:
     return _TABLES[command](report)
 
 
-def _emit(parser: argparse.ArgumentParser, text: str, output: str | None) -> None:
-    """Write to ``output``, or stdout; a file that cannot be written is a usage error."""
-    if not output:
-        sys.stdout.write(text)
-        return
+def open_output(parser: argparse.ArgumentParser, path: str | None, flag: str = "--output"):
+    """``path`` opened for writing before any work is done, so that a file that
+    cannot be written is a usage error up front; a null context without a path."""
+    if not path:
+        return contextlib.nullcontext()
     try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        return open(path, "w", encoding="utf-8")
     except OSError as exc:
-        parser.error(f"cannot write --output {output}: {exc.strerror}")
+        parser.error(f"cannot write {flag} {path}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +413,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.command == "efficiency":
-        report = efficiency_report()
-    else:
+    if args.command != "efficiency":
         check_seed(parser, args.seed)
         kind = ProtocolKind.parse(args.protocol)
         try:
             params = parse_params(args.params, kind, args.seed)
         except ValueError as exc:
             parser.error(str(exc))
-        if args.command == "verify":
+    if args.command == "sample":
+        if args.trials < 1:
+            parser.error(f"--trials must be positive, got {args.trials}")
+        if not 0.0 <= args.eta_d <= 1.0:
+            parser.error(f"--eta-d must lie in [0, 1], got {args.eta_d}")
+
+    with open_output(parser, args.output) as handle:
+        if args.command == "efficiency":
+            report = efficiency_report()
+        elif args.command == "verify":
             report = verify_report(kind, params)
         else:
-            if args.trials < 1:
-                parser.error(f"--trials must be positive, got {args.trials}")
-            if not 0.0 <= args.eta_d <= 1.0:
-                parser.error(f"--eta-d must lie in [0, 1], got {args.eta_d}")
             report = sample_report(kind, params, args.eta_d, args.trials, args.seed)
-
-    _emit(parser, render(args.command, report, args.fmt), args.output)
+        (handle or sys.stdout).write(render(args.command, report, args.fmt))
     return EXIT_OK if report.get("all_pass", True) else EXIT_VERIFY_FAILED
 
 

@@ -12,12 +12,14 @@ the domain, and max|(M†M ⊗ I) − I| = max|M†M − I| gives the same isome
 defect.  Agreement with the sparse application, and unitarity of every matrix,
 are the verification currency of the test suite.
 
-Every element takes one route.  Its :class:`~hyper_rsp.elements.Pattern` keeps
-the domain and the (row, col, weight slot) cells, once per fixed optic or rotation
-shape and schema.  The dense view (read-only matrix, domain positions and
-out-of-domain mask, isometry defect) is built on first request and kept on the
-element's one :class:`~hyper_rsp.elements.Lowering` per schema: the pattern's
-cells weighed by the element's own ``weights``.  Nothing goes stale: elements are
+Every element takes one route.  Its :class:`~hyper_rsp.elements.Pattern`, filled
+over every ket of the photon's layout when the element is lowered (the sparse
+route reads the same slots), keeps the domain and the (row, col, weight slot)
+cells, once per fixed optic or rotation shape and schema.  The dense view
+(read-only matrix, domain positions and out-of-domain mask, isometry defect) is
+built on first request and kept on the element's one
+:class:`~hyper_rsp.elements.Lowering` per schema: the pattern's cells weighed by
+the element's own ``weights``.  Nothing goes stale: elements are
 frozen and ``ket_slots`` is a pure function of (element, layout).
 
 numpy is imported on first use, inside each function that computes with it and
@@ -83,7 +85,6 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
 
     pattern = lowering.pattern
     if pattern.cells is None:
-        pattern.fill(element, pattern.layout.kets)
         if all(slots is None for slots in pattern.slots.values()):
             raise CorrelationError(f"{type(element).__name__}: the element's domain is empty")
         pattern.cells = _index(pattern)

@@ -6,16 +6,17 @@ checks the registers, ``output_registers`` names them after the element, and
 ``ket_slots`` declares the action per ket (the photon's value tuple) as images,
 each with its slot in the element's ``weights``.  Every element is lowered one
 way, as a :class:`Pattern` weighted by a few coefficients.  The pattern holds the
-validated layout, the output schema and each ket's slots, filled on first use and
-checked once against the output layout.  A fixed optic declares its coefficients
-exactly (1, ±1/√2 for the 50:50 splitter, ±1 for a Pauli) and keeps its own
-pattern; a rotation's angle lives only in its weights, so one pattern serves every
-angle of its shape.  Each element keeps one :class:`Lowering` per schema, wrapping
-its pattern, in one instance-``__dict__`` entry, so :meth:`Element.apply` weighs
-the kept slots and hands its labels to the norm step unchecked.  Elements are
-frozen and every hook is pure, so nothing goes stale.  The same patterns feed the
-dense matrix route in :mod:`hyper_rsp.dense`, which independently checks
-unitarity and matrix-vector equivalence.
+validated layout, the output schema and the slots of every ket of the layout,
+filled whole when the element is lowered, each image checked then against the
+output layout.  A fixed optic declares its coefficients exactly (1, ±1/√2 for
+the 50:50 splitter, ±1 for a Pauli) and keeps its own pattern; a rotation's angle
+lives only in its weights, so one pattern serves every angle of its shape.  Each
+element keeps one :class:`Lowering` per schema, wrapping its pattern, in one
+instance-``__dict__`` entry, so :meth:`Element.apply` weighs the kept slots and
+hands its labels to the norm step unchecked.  Elements are frozen and every hook
+is pure, so nothing goes stale.  The same patterns feed the dense matrix route in
+:mod:`hyper_rsp.dense`, which independently checks unitarity and matrix-vector
+equivalence.
 
 Some optics are unitary only on legal inputs (path-frequency correlation, empty
 unused ports, a free later time bin, a uniform register).  There ``ket_slots`` is
@@ -48,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Hashable, Iterable, Mapping
+from typing import ClassVar, Hashable, Mapping
 
 from .states import (
     Label,
@@ -73,38 +74,30 @@ PAULI_AXES = tuple(_PAULI_ACTIONS)
 #: dof tag used in operator names, per register
 _DOF_TAGS = {"pol": "p", "freq": "f", "time": "t", "path": "s"}
 
-#: A ket the pattern has not slotted yet (a kept ``None`` is "outside the domain")
-_UNSEEN = object()
-
 
 class CorrelationError(ValueError):
     """A rewrite that is only unitary on correlated labels met an illegal state."""
 
 
 class Pattern:
-    """An element's structure on one schema, kept once ``validate`` passes: the
+    """An element's structure on one schema, built once ``validate`` passes: the
     photon's validated ``layout``, the ``out_schema`` after the element and the
-    ket → ``slots`` memo ((image, weight slot) pairs, ``None`` outside the domain)
-    that :meth:`fill` fills; :func:`hyper_rsp.dense.element_to_dense` adds its
-    dense index, ``cells``, on request."""
+    ket → ``slots`` map ((image, weight slot) pairs, ``None`` outside the domain)
+    over every ket of the layout, each image checked against the output layout: a
+    bad one raises :class:`SchemaMismatchError` and no pattern is built.
+    :func:`hyper_rsp.dense.element_to_dense` adds its dense index, ``cells``, on
+    request."""
 
     __slots__ = ("layout", "out_schema", "slots", "cells")
 
-    def __init__(self, layout: Layout, out_schema: Schema):
-        self.layout, self.out_schema, self.slots, self.cells = layout, out_schema, {}, None
-
-    def fill(self, element: Element, kets: Iterable[tuple]) -> None:
-        """Slot each of ``kets`` not yet kept by ``element``'s rule and keep it, once
-        every image is checked against the output layout: a bad one raises
-        :class:`SchemaMismatchError` and is not kept."""
-        layout, memo = self.layout, self.slots
-        out_layout = self.out_schema.layout(layout.photon)
-        for ket in kets:
-            if ket not in memo:
-                slots = element.ket_slots(ket, layout)
-                for image, _ in slots or ():
-                    out_layout.validate_ket(image)
-                memo[ket] = slots
+    def __init__(self, element: Element, layout: Layout, out_schema: Schema):
+        out_layout = out_schema.layout(layout.photon)
+        slots = {}
+        for ket in layout.kets:
+            slots[ket] = element.ket_slots(ket, layout)
+            for image, _ in slots[ket] or ():
+                out_layout.validate_ket(image)
+        self.layout, self.out_schema, self.slots, self.cells = layout, out_schema, slots, None
 
 
 class Lowering:
@@ -213,7 +206,8 @@ class Element:
 
     def lowering(self, schema: Schema) -> Lowering:
         """The one :class:`Lowering` on ``schema``, wrapping the pattern found or
-        built once ``validate`` passes; a failed ``validate`` keeps neither."""
+        built once ``validate`` passes; a failed ``validate`` or a bad image keeps
+        neither."""
         lowering = self._lowerings.get(schema)
         if lowering is None:
             patterns, key = self._kept_patterns(schema)
@@ -221,7 +215,7 @@ class Element:
             if pattern is None:
                 layout = schema.layout(self.photon)
                 self.validate(layout)
-                pattern = patterns[key] = Pattern(layout, self.output_schema(schema))
+                pattern = patterns[key] = Pattern(self, layout, self.output_schema(schema))
             lowering = self._lowerings[schema] = Lowering(pattern)
         return lowering
 
@@ -233,10 +227,7 @@ class Element:
         acc: dict[Label, complex] = {}
         for label, amp in state.amplitudes.items():
             ket, rest = label if on_a else label[::-1]
-            slots = memo.get(ket, _UNSEEN)
-            if slots is _UNSEEN:
-                lowering.pattern.fill(self, (ket,))
-                slots = memo[ket]
+            slots = memo[ket]
             if slots is None:
                 raise CorrelationError(
                     f"{type(self).__name__}: ket {schema.format_label(label)} lies "

@@ -26,7 +26,8 @@ would give it).  Seeds and chunk indices are integers in [0, 2^64).
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so the codec (all that ``verify`` uses of this module)
-loads without it; ``concurrent.futures`` is imported when helpers first start.
+loads without it; ``concurrent.futures`` is imported by a run that starts helpers,
+and its helper threads live only for that call.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from _thread import allocate_lock  # threading's own lock, without importing threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -175,42 +175,26 @@ def _usable_cpus() -> int:
 
 #: Threads that tally a run's chunks: the calling thread and ``_WORKERS - 1`` helpers.
 _WORKERS = _usable_cpus()
-_helpers = None
-_helpers_lock = allocate_lock()
-
-
-def _drop_helpers() -> None:
-    """A forked child inherits the pool but not its threads: build a new one."""
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = None, allocate_lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helpers)
 
 
 def _spread(tally, chunks: range) -> list:
     """``tally(chunks)``, computed over contiguous slices of ``chunks``: the
-    calling thread tallies the first slice and helper threads the others, each
-    slice's list joined in chunk order.  Helpers start only when there are more
-    chunks than workers, so a one-CPU process never starts a thread."""
-    global _helpers
+    calling thread tallies the first slice and helper threads, started for the
+    call, the others, each slice's list joined in chunk order.  Helpers start
+    only when there are more chunks than workers, so a one-CPU process never
+    starts a thread, and leaving the pool waits for every helper, also when the
+    calling thread raised."""
     if _WORKERS < 2 or len(chunks) <= _WORKERS:
         return tally(chunks)
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
-    with _helpers_lock:
-        if _helpers is None:
-            _helpers = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="hyper-rsp-tally")
     bounds = [len(chunks) * k // _WORKERS for k in range(_WORKERS + 1)]
-    futures = [_helpers.submit(tally, chunks[start:stop])
-               for start, stop in zip(bounds[1:-1], bounds[2:])]
-    try:
-        tallies = tally(chunks[: bounds[1]])
-    finally:
-        wait(futures)  # no helper outlives the call, not even when the calling thread raised
-    for future in futures:
-        tallies += future.result()
+    slices = [chunks[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="hyper-rsp-tally") as helpers:
+        rest = helpers.map(tally, slices[1:])
+        tallies = tally(slices[0])
+        for part in rest:
+            tallies += part
     return tallies
 
 

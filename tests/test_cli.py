@@ -213,6 +213,19 @@ def test_unwritable_output_usage_error(tmp_path, capsys):
     assert "cannot write --output" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        pytest.fail("sampled before the --output check")
+
+    monkeypatch.setattr(cli_module, "sample_with_loss", never)
+    missing = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sample", "--protocol", "pf", "--params", "1", "0", "1", "0",
+              "--trials", "2000000", "--output", str(missing)])
+    assert excinfo.value.code == 2
+    assert f"cannot write --output {missing}: No such file or directory" in capsys.readouterr().err
+
+
 def test_sample_bad_eta_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["sample", "--protocol", "pf", "--params", "1", "0", "1", "0",

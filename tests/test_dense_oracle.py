@@ -398,47 +398,24 @@ class Spy(Element):
         return [(ket, 0)]
 
 
-SWAP = {"H": "V", "V": "H", "w1": "w2", "w2": "w1", 0: 1, 1: 0}
-
-
 @pytest.mark.parametrize("photon", ["A", "B"])
 @pytest.mark.parametrize("kind", [PF, TB])
 def test_rules_are_handed_only_their_own_photon(kind, photon):
-    """Both routes hand a rule one ket of its own photon, with none of the other's values."""
-    bell = make_hyper_bell(kind)
-    # ½(|HV⟩+|VH⟩)(|x₀x₁⟩+|x₁x₀⟩): the two halves of every label share no value.
-    state = StateVector.build(
-        bell.schema, {(a, tuple(SWAP[v] for v in a)): amp for (a, _), amp in bell.items()}
-    )
+    """Each route hands a rule every ket of its own photon's layout once, in
+    canonical order, with that layout, and never a ket of the other photon."""
+    state = make_hyper_bell(kind)
     layout = state.schema.layout(photon)
-    other = 1 if photon == "A" else 0
-
-    def assert_own(ket, given):
-        assert given is layout
-        assert len(ket) == len(layout.registers), ket
-        assert all(v in reg.values for v, reg in zip(ket, layout.registers)), ket
-
-    spy = Spy(photon)
-    sparse = spy.apply(state)
-    # one call per support label, in order
-    assert len(spy.imaged) == len(state.amplitudes)
-    for (ket, given), label in zip(spy.imaged, state.amplitudes):
-        assert_own(ket, given)
-        assert set(ket).isdisjoint(label[other]), (ket, label)
-    # the dense route reads the kets the sparse one kept and images the rest once
-    sparse_kets = {ket for ket, _ in spy.imaged}
-    spy.imaged.clear()
-    vec, schema = apply_dense(spy, state_to_vector(state), state.schema)
-    assert sorted(map(layout.index.get, (ket for ket, _ in spy.imaged))) == [
-        i for i, ket in enumerate(layout.kets) if ket not in sparse_kets
-    ]
-    # a fresh element's dense route hands the rule every ket of the layout
-    fresh = Spy(photon)
-    fresh_vec, _ = apply_dense(fresh, state_to_vector(state), state.schema)
-    assert len(fresh.imaged) == len(layout.kets)
-    for ket, given in spy.imaged + fresh.imaged:
-        assert_own(ket, given)
-    assert np.array_equal(fresh_vec, vec)
+    sparse_spy, dense_spy = Spy(photon), Spy(photon)
+    sparse = sparse_spy.apply(state)
+    vec, schema = apply_dense(dense_spy, state_to_vector(state), state.schema)
+    for spy in (sparse_spy, dense_spy):
+        assert [ket for ket, _ in spy.imaged] == list(layout.kets)
+        assert all(given is layout for _, given in spy.imaged)
+    # the kept pattern serves the other route: no ket is handed over again
+    sparse_spy.imaged.clear()
+    again, _ = apply_dense(sparse_spy, state_to_vector(state), state.schema)
+    assert sparse_spy.imaged == []
+    assert np.array_equal(again, vec)
     assert schema == sparse.schema
     assert max_deviation(sparse, vec) < 1e-10
     assert max_deviation(state, vec) < 1e-10
@@ -581,8 +558,7 @@ def test_warmed_runs_slot_no_ket(monkeypatch):
     """After one sparse and one dense run of each protocol, a new target's
     ``run_protocol`` and ``evolve_dense`` call no element's ``ket_slots``: the
     fixed optics, the corrections' PauliOps and every rotation shape reuse their
-    kept patterns.  The dense run is part of the warm-up because the dense route
-    also slots the kets off the sparse support."""
+    kept patterns, each filled over every ket of its layout when first lowered."""
     warm, fresh = TargetParams.from_angles(0.3, 1.1, 2.0), TargetParams.from_angles(0.9, 0.4, 1.7)
     for kind in (PF, TB):
         run_protocol(kind, warm)

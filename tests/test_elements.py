@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import MEMO_TARGETS, angles, assert_amplitudes_equal, ket_image, target_params
-from hyper_rsp.dense import element_to_dense
+from hyper_rsp.dense import apply_dense, element_to_dense, state_to_vector
 from hyper_rsp.elements import (
     BalancedSplitter,
     CorrelationError,
@@ -744,7 +744,6 @@ def test_rotation_images_match_the_per_ket_rule(kind, params):
         if isinstance(element, Rotation):
             layout = schema.layout(element.photon)
             pattern, weights = element.lowering(schema).pattern, element.weights
-            pattern.fill(element, layout.kets)
             for ket in layout.kets:
                 reference = repr(reference_rotation_image(element, ket, layout))
                 assert repr(ket_image(element, ket, layout)) == reference, (element, ket)
@@ -819,10 +818,12 @@ def test_a_failed_validate_is_not_kept():
     for _ in range(2):
         with pytest.raises(SchemaMismatchError, match="not yet"):
             element.apply(state)
+    assert element.calls == Counter({"validate": 2})
     assert element.apply(state) == state
     assert element.apply(state) == state
-    # validated once it passed, each ket imaged once
-    assert element.calls == Counter({"validate": 3, ("H", "a1"): 1})
+    # validated once it passed, then every ket of the layout slotted once
+    kets = state.schema.layout("A").kets
+    assert element.calls == Counter({"validate": 3, **dict.fromkeys(kets, 1)})
 
 
 def test_a_ket_outside_the_domain_raises_from_the_memo_too():
@@ -871,14 +872,25 @@ def test_an_image_outside_the_output_register_raises_and_is_not_kept(photon, ket
     state = two_path_state({(("H", "a1"), ("H",)): 0.6, (("V", "a2"), ("V",)): 0.8})
     element = Misimaged(photon, ket, image)
     for calls in (1, 2, 3):
+        # nothing is kept, so each retry slots the ket again and raises again
         with pytest.raises(SchemaMismatchError) as raised:
             element.apply(state)
         assert str(raised.value) == message
         assert element.calls[ket] == calls
-    kept = element.lowering(state.schema).pattern.slots
-    assert ket not in kept and len(kept) == 1
+        assert element._lowerings == {}
     # the dense route reads the same images and meets the same check
     with pytest.raises(SchemaMismatchError) as raised:
         element_to_dense(element, state.schema)
     assert str(raised.value) == message
-    assert ket not in kept
+    assert element._lowerings == {}
+
+
+def test_both_routes_reject_a_bad_image_off_the_support():
+    """A bad image is a bad element even where the state holds no amplitude:
+    each route, on a fresh element, raises the same error."""
+    state = two_path_state({(("H", "a1"), ("H",)): 1.0})
+    with pytest.raises(SchemaMismatchError) as sparse:
+        Misimaged("A", ("V", "a2"), ("D", "a2")).apply(state)
+    with pytest.raises(SchemaMismatchError) as dense:
+        apply_dense(Misimaged("A", ("V", "a2"), ("D", "a2")), state_to_vector(state), state.schema)
+    assert str(sparse.value) == str(dense.value) == "value 'D' not allowed in register 'pol'"

@@ -3,9 +3,9 @@ at module level, and importing the package derives no protocol table.
 
 ``verify`` and ``efficiency`` never compute with numpy, so a fresh process
 that runs them must not load it, nor start a thread; ``sample`` loads numpy on
-first use, and a run that tallies chunks on helper threads still lets its
-process exit.  Each check runs in its own interpreter, because this test
-process has numpy loaded and its protocol tables built.
+first use, and a run that tallies chunks on helper threads leaves none of
+them running once it returns.  Each check runs in its own interpreter,
+because this test process has numpy loaded and its protocol tables built.
 """
 
 import os
@@ -75,8 +75,8 @@ assert "numpy" in sys.modules, "numpy not loaded"
 
 def test_a_sample_with_helper_threads_exits(capsys, monkeypatch):
     """A 3-chunk run on two workers tallies its last two chunks on a helper
-    thread; the process still exits on its own and prints the serial run's
-    report."""
+    thread that ends with the call; the process prints the serial run's
+    report and exits on its own."""
     argv = ["sample", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
             "--eta-d", "0.8", "--trials", str(3 * runtime.CHUNK_TRIALS), "--seed", "7",
             "--format", "json"]
@@ -85,7 +85,7 @@ import threading
 from hyper_rsp import cli, runtime
 runtime._WORKERS = 2
 assert cli.main({argv!r}) == 0
-assert threading.active_count() == 2, threading.enumerate()
+assert threading.active_count() == 1, threading.enumerate()
 """)
     assert done.returncode == 0, done.stderr
     monkeypatch.setattr(runtime, "_WORKERS", 1)
