@@ -6,33 +6,28 @@ branch with its collapsed and corrected receiver states, the tabulated
 correction, whether the exhaustive search agrees with it, and the fidelity.
 Random params follow the CLI's contract, so ``--seed`` names the same target
 as ``hyper-rsp verify --params random --seed``.  With --trials the script also
-cross-checks outcome frequencies, drawn from the outcome column of the
-sampler's per-chunk words (``runtime.chunk_words``), against the exact
-probabilities.
+cross-checks outcome frequencies against the uniform branch law (1/4 and
+1/8): the outcome counts of a ``hyper-rsp sample`` run with perfect detectors
+(η_d = 1) under ``--seed``.
 """
 
 import argparse
 import math
 import sys
 
-import numpy as np
-
 from hyper_rsp import cli
-from hyper_rsp.runtime import CHUNK_TRIALS, BranchSampler, chunk_words
+from hyper_rsp.protocols import outcome_registry
+from hyper_rsp.runtime import sample_with_loss
 from hyper_rsp.states import ProtocolKind, TargetParams
 
 
 def show_frequencies(kind, params, trials, seed):
-    sampler = BranchSampler(kind, params)
-    counts = np.zeros(len(sampler.branches), dtype=int)
-    for chunk_index in range(math.ceil(trials / CHUNK_TRIALS)):
-        words = chunk_words(seed, trials, chunk_index)[:, 0]
-        counts += np.bincount(sampler.draw_many(words), minlength=len(counts))
-    p = sampler.branches[0].probability
+    counts = sample_with_loss(kind, params, eta_d=1.0, trials=trials, seed=seed).outcome_counts
+    p = 1 / len(counts)
     sigma = math.sqrt(p * (1 - p) / trials)
     print(f"sampled {trials} outcomes (expect {p:.4f} each, 3σ = {3 * sigma:.4f}):")
-    for branch, count in zip(sampler.branches, counts):
-        print(f"{str(branch.outcome):>7}  {count / trials:.4f}")
+    for outcome, count in zip(outcome_registry(kind), counts):
+        print(f"{str(outcome):>7}  {count / trials:.4f}")
 
 
 def main():

@@ -23,12 +23,13 @@ import contextlib
 import functools
 import io
 import math
+import os
 import re
 import sys
 
 from . import protocols
 from .efficiency import protocol_efficiency, protocol_inputs
-from .protocols import BranchReport, derive_correction, run_protocol
+from .protocols import BranchReport, derive_correction, outcome_registry, run_protocol
 from .runtime import chunk_generator, encode_outcome, sample_with_loss
 from .states import ProtocolKind, StateVector, TargetParams, receiver_schema
 
@@ -143,6 +144,10 @@ def sample_report(
             "mean_fidelity_on_detected": None if math.isnan(mean_fid) else _round12(mean_fid),
             "seed": stats.seed,
         },
+        "outcome_counts": {
+            str(outcome): count
+            for outcome, count in zip(outcome_registry(kind), stats.outcome_counts)
+        },
     }
 
 
@@ -204,6 +209,8 @@ def _sample_table(report: dict) -> str:
         + "mean_fidelity_on_detected "
         + ("n/a" if mean_fid is None else f"{mean_fid:.12g}")
         + f"\nseed {stats['seed']}\n"
+        + f"{'outcome':<8}count\n"
+        + "".join(f"{outcome:<8}{count}\n" for outcome, count in report["outcome_counts"].items())
     )
 
 
@@ -347,15 +354,39 @@ def render(command: str, report: dict, fmt: str) -> str:
     return _TABLES[command](report)
 
 
+@contextlib.contextmanager
 def open_output(parser: argparse.ArgumentParser, path: str | None, flag: str = "--output"):
-    """``path`` opened for writing before any work is done, so that a file that
-    cannot be written is a usage error up front; a null context without a path."""
+    """A writer for ``path``, checked before any work is done, so that a file
+    that cannot be written is a usage error up front; ``None`` without a path.
+
+    The text goes to a temporary file beside the (link-resolved) file, which
+    replaces it, taking its mode, only when the block ends without an error:
+    a run that stops leaves an existing file as it was.  A path that exists but
+    is no regular file, such as ``/dev/stdout``, is written in place."""
     if not path:
-        return contextlib.nullcontext()
+        yield None
+        return
+    target = temp = os.path.realpath(path)
+    if os.path.isfile(target) or not os.path.exists(target):
+        head, name = os.path.split(target)
+        temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        return open(path, "w", encoding="utf-8")
+        if os.path.isfile(target):
+            os.close(os.open(target, os.O_WRONLY))  # a read-only file is refused now
+        handle = open(temp, "w" if temp == target else "x", encoding="utf-8")
     except OSError as exc:
         parser.error(f"cannot write {flag} {path}: {exc.strerror}")
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if temp != target:
+            os.unlink(temp)
+        raise
+    if temp != target:
+        if os.path.isfile(target):
+            os.chmod(temp, os.stat(target).st_mode & 0o7777)
+        os.replace(temp, target)
 
 
 # ---------------------------------------------------------------------------

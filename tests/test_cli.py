@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -162,14 +163,21 @@ def test_verify_report_builds_the_target_once(monkeypatch, kind):
 
 
 def test_verify_output_file_golden(tmp_path, capsys):
+    """Written fresh, then over a longer file whose mode it keeps."""
     path = tmp_path / "report.json"
-    code, out = run_cli(
-        capsys, "verify", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
-        "--format", "json", "--output", str(path),
-    )
-    assert code == 0
-    assert out == ""
-    assert path.read_bytes() == (GOLDEN / "verify_tb.json").read_bytes()
+    for existing in (None, "stale text, longer than the report" * 100):
+        if existing:
+            path.write_text(existing)
+            path.chmod(0o640)
+        code, out = run_cli(
+            capsys, "verify", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
+            "--format", "json", "--output", str(path),
+        )
+        assert code == 0
+        assert out == ""
+        assert path.read_bytes() == (GOLDEN / "verify_tb.json").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert path.stat().st_mode & 0o777 == 0o640
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +232,34 @@ def test_unwritable_output_is_refused_before_sampling(tmp_path, capsys, monkeypa
               "--trials", "2000000", "--output", str(missing)])
     assert excinfo.value.code == 2
     assert f"cannot write --output {missing}: No such file or directory" in capsys.readouterr().err
+
+
+def test_an_interrupted_run_leaves_the_existing_report_as_it_was(tmp_path, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "sample_with_loss", interrupted)
+    path = tmp_path / "report.json"
+    path.write_bytes(b'{"an": "old report"}\n')
+    with pytest.raises(KeyboardInterrupt):
+        main(["sample", "--protocol", "pf", "--params", "1", "0", "1", "0",
+              "--output", str(path)])
+    assert path.read_bytes() == b'{"an": "old report"}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_output_through_a_link_replaces_the_linked_file(tmp_path, capsys):
+    path, link = tmp_path / "report.json", tmp_path / "link.json"
+    path.write_text("old")
+    link.symlink_to(path)
+    assert main(["efficiency", "--format", "json", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert path.read_bytes() == (GOLDEN / "efficiency.json").read_bytes()
+
+
+def test_output_to_a_device_is_written_in_place(capsys):
+    assert main(["efficiency", "--output", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_sample_bad_eta_usage_error(capsys):

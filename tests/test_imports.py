@@ -3,8 +3,7 @@ at module level, and importing the package derives no protocol table.
 
 ``verify`` and ``efficiency`` never compute with numpy, so a fresh process
 that runs them must not load it, nor start a thread; ``sample`` loads numpy on
-first use, and a run that tallies chunks on helper threads leaves none of
-them running once it returns.  Each check runs in its own interpreter,
+first use and starts no thread either.  Each check runs in its own interpreter,
 because this test process has numpy loaded and its protocol tables built.
 """
 
@@ -73,22 +72,21 @@ assert "numpy" in sys.modules, "numpy not loaded"
     assert done.stdout == (GOLDEN / "sample_pf.json").read_text()
 
 
-def test_a_sample_with_helper_threads_exits(capsys, monkeypatch):
-    """A 3-chunk run on two workers tallies its last two chunks on a helper
-    thread that ends with the call; the process prints the serial run's
-    report and exits on its own."""
+def test_a_sample_starts_no_thread(capsys):
+    """A 3-chunk run draws every chunk on the calling thread: the process
+    loads no ``concurrent.futures``, has one thread when the run returns, and
+    prints the report this process prints."""
     argv = ["sample", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
             "--eta-d", "0.8", "--trials", str(3 * runtime.CHUNK_TRIALS), "--seed", "7",
             "--format", "json"]
     done = run_fresh(f"""
-import threading
-from hyper_rsp import cli, runtime
-runtime._WORKERS = 2
+import sys, threading
+from hyper_rsp import cli
 assert cli.main({argv!r}) == 0
 assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules, "concurrent.futures loaded"
 """)
     assert done.returncode == 0, done.stderr
-    monkeypatch.setattr(runtime, "_WORKERS", 1)
     assert cli.main(argv) == 0
     assert done.stdout == capsys.readouterr().out
 

@@ -6,12 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hyper_rsp
 from hyper_rsp.cli import main
-from hyper_rsp.runtime import BranchSampler, chunk_words
+from hyper_rsp.runtime import sample_with_loss
 from hyper_rsp.states import ProtocolKind, TargetParams
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -122,8 +121,8 @@ def test_loss_sweep_matches_golden_file():
 
 def test_reproduce_tables_matches_golden_file():
     """At 10,000 trials each 4-digit frequency is an exact outcome count, so a
-    changed outcome draw (word column 0 through ``draw_many``) changes the file.
-    40,000 trials are three chunks, the last one short (7,232 trials)."""
+    changed outcome draw changes the file.  40,000 trials are three chunks,
+    the last one short (7,232 trials)."""
     for trials, golden in [("10000", "reproduce_tables.txt"),
                            ("40000", "reproduce_tables_40000.txt")]:
         result = run_script("reproduce_tables.py", "--params", "0.6", "0.8", "0.28", "0.96",
@@ -132,21 +131,18 @@ def test_reproduce_tables_matches_golden_file():
         assert result.stdout.encode() == (GOLDEN / golden).read_bytes(), trials
 
 
-#: Per-chunk outcome counts of the golden 40,000-trial draw, in registry order.
-#: The file's 4-digit frequencies resolve only about 4 trials, so these pin
-#: what it cannot: one trial moved between outcomes in any chunk.
+#: Outcome counts of the golden 40,000-trial draw, in registry order.  The
+#: file's 4-digit frequencies resolve only about 4 trials, so these pin what
+#: it cannot: one trial moved between outcomes.
 COUNTS_40000 = {
-    ProtocolKind.PF: [[4106, 4138, 4042, 4098], [4096, 3963, 4218, 4107], [1786, 1819, 1803, 1824]],
-    ProtocolKind.TB: [[2073, 2033, 2024, 2114, 2030, 2012, 2094, 2004],
-                      [2111, 1985, 1980, 1983, 2079, 2139, 2101, 2006],
-                      [883, 903, 854, 965, 890, 913, 917, 907]],
+    ProtocolKind.PF: (9979, 10075, 10009, 9937),
+    ProtocolKind.TB: (4986, 5058, 5033, 5026, 4937, 4934, 4934, 5092),
 }
 
 
 @pytest.mark.parametrize("kind", list(ProtocolKind), ids=["pf", "tb"])
 def test_reproduce_tables_40000_draw_has_the_pinned_counts(kind):
     """The draw behind ``reproduce_tables_40000.txt``, counted as the script counts it."""
-    sampler = BranchSampler(kind, TargetParams(0.6, 0.8, 0.28, 0.96, 0.28, 0.96))
-    counts = [np.bincount(sampler.draw_many(chunk_words(3, 40000, chunk)[:, 0]),
-                          minlength=len(sampler.branches)).tolist() for chunk in range(3)]
-    assert counts == COUNTS_40000[kind]
+    params = TargetParams(0.6, 0.8, 0.28, 0.96, 0.28, 0.96)
+    stats = sample_with_loss(kind, params, eta_d=1.0, trials=40000, seed=3)
+    assert stats.outcome_counts == COUNTS_40000[kind]
