@@ -144,7 +144,12 @@ class BranchSampler:
 
     def draw_many(self, state: np.random.RandomState, detected: int) -> np.ndarray:
         """The outcome counts of ``detected`` trials, in registry order: one
-        multinomial draw over the branch probabilities."""
+        multinomial draw over the branch probabilities.  ``detected`` must be
+        an integer: ``multinomial`` would draw 2 trials for 2.5."""
+        try:
+            detected = operator.index(detected)
+        except TypeError:
+            raise TypeError(f"detected count must be an integer, got {detected!r}") from None
         return state.multinomial(detected, self._probabilities)
 
 

@@ -72,23 +72,48 @@ assert "numpy" in sys.modules, "numpy not loaded"
     assert done.stdout == (GOLDEN / "sample_pf.json").read_text()
 
 
+#: a 3-chunk tb sample run
+SAMPLE_ARGV = ["sample", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
+               "--eta-d", "0.8", "--trials", str(3 * runtime.CHUNK_TRIALS), "--seed", "7",
+               "--format", "json"]
+
+
 def test_a_sample_starts_no_thread(capsys):
     """A 3-chunk run draws every chunk on the calling thread: the process
     loads no ``concurrent.futures``, has one thread when the run returns, and
     prints the report this process prints."""
-    argv = ["sample", "--protocol", "tb", "--params", "0.6", "0.8", "0.28", "0.96",
-            "--eta-d", "0.8", "--trials", str(3 * runtime.CHUNK_TRIALS), "--seed", "7",
-            "--format", "json"]
     done = run_fresh(f"""
 import sys, threading
 from hyper_rsp import cli
-assert cli.main({argv!r}) == 0
+assert cli.main({SAMPLE_ARGV!r}) == 0
 assert threading.active_count() == 1, threading.enumerate()
 assert "concurrent.futures" not in sys.modules, "concurrent.futures loaded"
 """)
     assert done.returncode == 0, done.stderr
-    assert cli.main(argv) == 0
+    assert cli.main(SAMPLE_ARGV) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+def test_a_sample_with_helper_threads_exits(capsys):
+    """Two runs at once, each on a helper thread of a fresh process: both
+    threads end with their runs, the process exits on its own, and each
+    prints the report of a run on the main thread."""
+    done = run_fresh(f"""
+import threading
+from hyper_rsp import cli
+statuses = []
+helpers = [threading.Thread(target=lambda: statuses.append(cli.main({SAMPLE_ARGV!r})))
+           for _ in range(2)]
+for helper in helpers:
+    helper.start()
+for helper in helpers:
+    helper.join(60)
+assert statuses == [0, 0], statuses
+assert threading.active_count() == 1, threading.enumerate()
+""")
+    assert done.returncode == 0, done.stderr
+    assert cli.main(SAMPLE_ARGV) == 0
+    assert done.stdout == 2 * capsys.readouterr().out
 
 
 def test_import_builds_no_protocol_table():

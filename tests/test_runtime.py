@@ -2,14 +2,18 @@
 
 import math
 import multiprocessing
+import os
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyper_rsp import runtime
 from hyper_rsp.runtime import (
     CHUNK_TRIALS,
     BranchSampler,
@@ -219,20 +223,60 @@ def test_chunked_streams_merge_independent_of_order(generic_params):
     assert sample_with_loss(TB, generic_params, eta_d, trials, seed) == expected
 
 
-def test_concurrent_callers_get_the_serial_runs(generic_params):
-    """Four callers at once, with the thread switch interval cut to a
-    microsecond: each still gets its serial run's stats."""
+def test_concurrent_runs_on_more_workers_than_cpus_match_the_serial_runs(generic_params):
+    """One caller more than there are usable CPUs, all at once, with the
+    thread switch interval cut to a microsecond: each still gets its serial
+    run's stats."""
     trials = 9 * CHUNK_TRIALS - 5
-    serial = [sample_with_loss(TB, generic_params, 0.8, trials, seed) for seed in range(4)]
+    seeds = range(len(os.sched_getaffinity(0)) + 1)
+    serial = [sample_with_loss(TB, generic_params, 0.8, trials, seed) for seed in seeds]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(4) as callers:
+        with ThreadPoolExecutor(len(seeds)) as callers:
             runs = [callers.submit(sample_with_loss, TB, generic_params, 0.8, trials, seed)
-                    for seed in range(4)]
+                    for seed in seeds]
             assert [run.result(timeout=60) for run in runs] == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_slices_join_in_chunk_order(workers, generic_params, monkeypatch):
+    """The run draws its chunks in chunk order: cut into ``workers``
+    contiguous slices, each drawn on its own from the documented contract and
+    joined in order, the chunks are the run's draws one by one, and the
+    slices' column sums add up to the run's counts."""
+    eta_d, trials, seed = 0.8, 7 * CHUNK_TRIALS + 77, 13
+    weights = probabilities(TB, generic_params)
+    chunks = range(math.ceil(trials / CHUNK_TRIALS))
+    slices = [chunks[w * len(chunks) // workers:(w + 1) * len(chunks) // workers]
+              for w in range(workers)]
+    drawn = [[reference_chunk(seed, trials, c, eta_d, weights) for c in part] for part in slices]
+    calls = spy_draws(monkeypatch)
+    stats = sample_with_loss(TB, generic_params, eta_d, trials, seed)
+    assert [counts for _, counts in calls] == [counts for part in drawn for counts in part]
+    slice_sums = [[sum(column) for column in zip(*part)] for part in drawn]
+    assert stats.outcome_counts == tuple(map(sum, zip(*slice_sums)))
+
+
+def test_no_helper_outlives_a_run_that_raised(generic_params, monkeypatch):
+    """A draw that raises stops the run at its chunk: the error reaches the
+    caller, no later chunk is drawn, and no thread is left behind."""
+    threads = threading.enumerate()
+    drawn = []
+
+    def draw_many(self, state, detected):
+        drawn.append(detected)
+        if len(drawn) == 2:
+            raise ValueError("the second chunk's draw failed")
+        return np.zeros(len(self.branches), dtype=np.int64)
+
+    monkeypatch.setattr(BranchSampler, "draw_many", draw_many)
+    with pytest.raises(ValueError, match="second chunk"):
+        sample_with_loss(PF, generic_params, 0.8, 4 * CHUNK_TRIALS, seed=3)
+    assert len(drawn) == 2
+    assert threading.enumerate() == threads
 
 
 @pytest.mark.parametrize("eta_d", [0.0, 0.37, 1.0])
@@ -256,13 +300,105 @@ def test_sample_with_loss_draws_once_per_chunk_and_only_detected(
         assert [detected for detected, _ in calls] == [CHUNK_TRIALS, CHUNK_TRIALS, 77]
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+def test_a_forked_child_samples_after_its_parent(generic_params):
+    """A child forked after its parent sampled gets the parent's stats; the
+    run left no thread behind to make the fork warn."""
+    trials = 3 * CHUNK_TRIALS
+    parent = sample_with_loss(PF, generic_params, 0.8, trials, seed=9)
+    assert threading.active_count() == 1, threading.enumerate()
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(
+        target=lambda: send.send(sample_with_loss(PF, generic_params, 0.8, trials, seed=9))
+    )
+    child.start()
+    try:
+        assert receive.poll(20), "the forked child did not finish sampling within 20 s"
+        assert receive.recv() == parent
+        child.join(20)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(5)
+
+
+#: hand-made branch tables for the edges no protocol has
+SYNTHETIC_TABLES = {
+    # the running sum reaches exactly 1.0 before the last branch
+    "edge-at-1": (0.37, 0.63, 0.0, 0.0),
+    # a branch far below one trial's weight, then the rest split in two
+    "tiny-edge": (2**-60, 0.5, 0.5 - 2**-60),
+}
+
+
+def table_sampler(table, generic_params, monkeypatch):
+    """``pf``/``tb`` on the generic target, ``<kind>-random-5`` on the target of
+    seed 5 (branch probabilities that are not exact quarters or eighths), or a
+    synthetic table of ``SYNTHETIC_TABLES`` put in place of ``run_protocol``."""
+    if table in SYNTHETIC_TABLES:
+        branches = tuple(SimpleNamespace(probability=p) for p in SYNTHETIC_TABLES[table])
+        monkeypatch.setattr(runtime, "run_protocol", lambda kind, params: branches)
+        return BranchSampler(PF, generic_params)
+    kind, _, target = table.partition("-")
+    params = random_params(5) if target else generic_params
+    return BranchSampler(ProtocolKind.parse(kind), params)
+
+
+def running_sum_counts(state, detected, weights):
+    """Reference multinomial: branch by branch, a binomial draw of the trials
+    not yet placed, at the branch's probability over what the running sum of
+    the branches before it leaves; the last branch takes the remainder."""
+    counts, left, remaining = [0] * len(weights), detected, 1.0
+    for branch, weight in enumerate(weights[:-1]):
+        if left == 0:
+            break
+        counts[branch] = int(state.binomial(left, weight / remaining))
+        left -= counts[branch]
+        remaining -= weight
+    counts[-1] += left
+    return counts
+
+
+@pytest.mark.parametrize("table", ["pf", "tb", "pf-random-5", "tb-random-5", *SYNTHETIC_TABLES])
+def test_draw_many_matches_running_sum_bisect(table, generic_params, monkeypatch):
+    """``draw_many`` is the running-sum draw over the branch probabilities in
+    registry order, count for count and leaving the stream where the
+    reference leaves it, at a few detected counts up to a full chunk; a
+    branch of probability 0 never counts a trial."""
+    sampler = table_sampler(table, generic_params, monkeypatch)
+    weights = [branch.probability for branch in sampler.branches]
+    for chunk_index, detected in enumerate((1, 5, 1000, CHUNK_TRIALS)):
+        state, reference = (np.random.RandomState(chunk_generator(17, chunk_index).bit_generator)
+                            for _ in range(2))
+        counts = sampler.draw_many(state, detected).tolist()
+        assert counts == running_sum_counts(reference, detected, weights), detected
+        assert state.random_sample() == reference.random_sample()
+        assert sum(counts) == detected
+        assert all(count == 0 for count, weight in zip(counts, weights) if weight == 0)
+
+
 @pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
-def test_draw_many_of_no_detection_is_all_zero(kind, generic_params):
+def test_draw_many_of_no_uniforms_is_empty(kind, generic_params):
     """Nothing detected: a zero count per branch, and nothing drawn."""
     sampler = BranchSampler(kind, generic_params)
     state, fresh = (np.random.RandomState(chunk_generator(3, 0).bit_generator) for _ in range(2))
     assert sampler.draw_many(state, 0).tolist() == [0] * len(outcome_registry(kind))
     assert state.random_sample() == fresh.random_sample()
+
+
+@pytest.mark.parametrize("kind", [PF, TB], ids=["pf", "tb"])
+def test_draw_many_refuses_anything_but_words(kind, generic_params):
+    """The detected count must be an integer: ``multinomial`` would truncate
+    2.5 to 2 trials, and an array count would draw a batch."""
+    sampler = BranchSampler(kind, generic_params)
+    state = np.random.RandomState(chunk_generator(3, 0).bit_generator)
+    for detected in (2.5, np.float64(3.0), np.array([3])):
+        with pytest.raises(TypeError, match="detected count must be an integer"):
+            sampler.draw_many(state, detected)
+    assert sum(sampler.draw_many(state, np.int64(3))) == 3
 
 
 def test_chunk_generator_seed_range(generic_params):
