@@ -237,17 +237,6 @@ def _cell(value):
     return value
 
 
-def csv_text(rows: list[dict]) -> str:
-    """A header of the first row's keys, then one line per row dict."""
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows({key: _cell(value) for key, value in row.items()} for row in rows)
-    return buffer.getvalue()
-
-
 def _csv_rows(command: str, report: dict) -> list[dict]:
     """One dict per CSV line; key order is column order."""
     if command == "verify":
@@ -350,12 +339,19 @@ def render(command: str, report: dict, fmt: str) -> str:
     if fmt == "json":
         return json_text(report)
     if fmt == "csv":
-        return csv_text(_csv_rows(command, report))
+        import csv
+
+        rows = _csv_rows(command, report)
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({key: _cell(value) for key, value in row.items()} for row in rows)
+        return buffer.getvalue()
     return _TABLES[command](report)
 
 
 @contextlib.contextmanager
-def open_output(parser: argparse.ArgumentParser, path: str | None, flag: str = "--output"):
+def open_output(parser: argparse.ArgumentParser, path: str | None):
     """A writer for ``path``, checked before any work is done, so that a file
     that cannot be written is a usage error up front; ``None`` without a path.
 
@@ -375,7 +371,7 @@ def open_output(parser: argparse.ArgumentParser, path: str | None, flag: str = "
             os.close(os.open(target, os.O_WRONLY))  # a read-only file is refused now
         handle = open(temp, "w" if temp == target else "x", encoding="utf-8")
     except OSError as exc:
-        parser.error(f"cannot write {flag} {path}: {exc.strerror}")
+        parser.error(f"cannot write --output {path}: {exc.strerror}")
     try:
         with handle:
             yield handle
@@ -410,12 +406,6 @@ def _add_common(parser: argparse.ArgumentParser, with_protocol: bool = True) -> 
     parser.add_argument("--output", default=None, help="write the report to a file")
 
 
-def check_seed(parser: argparse.ArgumentParser, seed: int) -> None:
-    """Exit with a usage error unless ``seed`` lies in [0, 2**64)."""
-    if not 0 <= seed < 2**64:
-        parser.error(f"--seed must lie in [0, 2**64), got {seed}")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -445,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command != "efficiency":
-        check_seed(parser, args.seed)
+        if not 0 <= args.seed < 2**64:
+            parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
         kind = ProtocolKind.parse(args.protocol)
         try:
             params = parse_params(args.params, kind, args.seed)

@@ -54,9 +54,17 @@ def test_verify_tb_basis_target(capsys):
 
 
 def test_verify_rejects_unnormalized_params(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--protocol", "pf", "--params", "0.5", "0.5", "1", "0"])
-    assert excinfo.value.code == 2
+    for params, message in [
+        (("0.5", "0.5", "1", "0"), "pol pair (0.5, 0.5) not normalized"),
+        (("2", "0", "1", "0"), "pol coefficient 2.0 outside [-1, 1]"),
+        (("0.6", "0.8", "0.6", "0.9"), "freq pair (0.6, 0.9) not normalized: α²+β² = 1.17"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--protocol", "pf", "--params", *params])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 def test_verify_table_output(capsys):
@@ -205,6 +213,53 @@ def test_sample_lossy_detectors_near_square(capsys):
     sigma = (0.64 * 0.36 / 100000) ** 0.5
     assert abs(stats["success_rate"] - 0.64) < 3 * sigma
     assert stats["mean_fidelity_on_detected"] == 1.0
+
+
+#: Detected counts of ``sample --protocol tb --params random --seed 2 --trials
+#: 20000`` at η_d = 0, 0.1, …, 1: the paper's η_d² detection rate under loss.
+LOSS_SWEEP_TB = (0, 204, 819, 1824, 3229, 5034, 7237, 9838, 12763, 16169, 20000)
+
+
+@pytest.mark.parametrize("tenths, detected", enumerate(LOSS_SWEEP_TB))
+def test_loss_sweep_detected_counts(capsys, tenths, detected):
+    eta_d, trials = tenths / 10, 20000
+    code, out = run_cli(
+        capsys, "sample", "--protocol", "tb", "--params", "random", "--seed", "2",
+        "--trials", str(trials), "--eta-d", str(eta_d), "--format", "json",
+    )
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["detected"] == detected
+    predicted = eta_d * eta_d
+    assert abs(detected / trials - predicted) <= 3 * (predicted * (1 - predicted) / trials) ** 0.5
+    assert stats["mean_fidelity_on_detected"] == (None if detected == 0 else 1.0)
+
+
+#: Outcome counts of ``sample --params 0.6 0.8 0.28 0.96 --eta-d 1 --seed 3``,
+#: keyed by (protocol, trials): the paper's 1/4 and 1/8 branch laws.  40,000
+#: trials are three chunks, the last one short (7,232 trials).
+TABLE_COUNTS = {
+    ("pf", 10000): {"H@a1": 2475, "H@a2": 2546, "V@a1": 2505, "V@a2": 2474},
+    ("tb", 10000): {"H@kp1": 1231, "H@kp2": 1282, "H@kp3": 1261, "H@kp4": 1278,
+                    "V@kp1": 1206, "V@kp2": 1191, "V@kp3": 1256, "V@kp4": 1295},
+    ("pf", 40000): {"H@a1": 9979, "H@a2": 10075, "V@a1": 10009, "V@a2": 9937},
+    ("tb", 40000): {"H@kp1": 4986, "H@kp2": 5058, "H@kp3": 5033, "H@kp4": 5026,
+                    "V@kp1": 4937, "V@kp2": 4934, "V@kp3": 4934, "V@kp4": 5092},
+}
+
+
+@pytest.mark.parametrize("protocol, trials", list(TABLE_COUNTS))
+def test_perfect_detector_outcome_counts(capsys, protocol, trials):
+    code, out = run_cli(
+        capsys, "sample", "--protocol", protocol, "--params", "0.6", "0.8", "0.28", "0.96",
+        "--eta-d", "1", "--trials", str(trials), "--seed", "3", "--format", "json",
+    )
+    assert code == 0
+    counts = json.loads(out)["outcome_counts"]
+    assert list(counts.items()) == list(TABLE_COUNTS[protocol, trials].items())
+    p = 1 / len(counts)
+    for count in counts.values():
+        assert abs(count / trials - p) <= 3 * (p * (1 - p) / trials) ** 0.5
 
 
 def test_sample_zero_trials_usage_error(capsys):
