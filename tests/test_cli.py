@@ -411,3 +411,44 @@ def test_module_entry_point_subprocess():
         check=True,
     )
     assert "pf 1/3" in result.stdout
+
+
+def run_program(*argv):
+    """``python -m hyper_rsp`` in a process of its own, as a shell runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "hyper_rsp", *argv], capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_program_out_of_range_seed_usage_error(command, seed):
+    result = run_program(command, "--protocol", "pf", "--params", "random", "--seed", str(seed))
+    assert result.returncode == 2
+    assert "--seed must lie in [0, 2**64)" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (("2", "0", "1", "0"), "pol coefficient 2.0 outside [-1, 1]"),
+        (("0.6", "0.8", "0.6", "0.9"), "freq pair (0.6, 0.9) not normalized"),
+    ],
+)
+def test_program_bad_params_usage_error(params, message):
+    result = run_program("verify", "--protocol", "pf", "--params", *params)
+    assert result.returncode == 2
+    assert "usage:" in result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_program_accepts_negative_exponent_params():
+    for protocol in ("pf", "tb"):
+        result = run_program("verify", "--protocol", protocol, "--params",
+                             "-3.2e-05", "0.999999999488", "1", "0")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("verdict: PASS\n")
