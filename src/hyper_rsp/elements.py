@@ -221,7 +221,9 @@ class Element:
 
     def apply(self, state: StateVector) -> StateVector:
         schema = state.schema
-        lowering = self.lowering(schema)
+        lowering = self._lowerings.get(schema)
+        if lowering is None:
+            lowering = self.lowering(schema)
         memo, weights = lowering.pattern.slots, self.weights
         on_a = self.photon == "A"
         acc: dict[Label, complex] = {}

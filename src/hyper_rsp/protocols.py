@@ -81,57 +81,74 @@ def rotation_angle(alpha: float, beta: float) -> float:
     return math.atan2(beta, alpha)
 
 
-#: Each circuit's stages in the order photon A meets them.  A fixed optic is
-#: one instance built once per process, so every circuit of one kind shares it
-#: and the lowerings kept on it; a rotation is a function of the target that
-#: builds the element.
-_CIRCUITS: dict[ProtocolKind, tuple] = {
-    ProtocolKind.PF: (
-        lambda p: PolarizationRotation("A", rotation_angle(p.alpha0, p.beta0)),
-        WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, PF_PATHS),
-        FrequencyEraser("A", {"a1": "w1", "a2": "w2"}),
-        lambda p: UnbalancedSplitter("A", ("a1", "a2"), 2.0 * rotation_angle(p.alpha1, p.beta1)),
-    ),
-    ProtocolKind.TB: (
-        lambda p: PolarizationRotation("A", rotation_angle(p.alpha0, p.beta0)),
-        # Entry PBS: transmit H to a2, reflect V to a1.
-        PolarizingRouter("A", {"H": "a2", "V": "a1"}, registry=TB_PATHS),
-        PockelsCell("A", paths=("a2",), time_value=0),
-        PockelsCell("A", paths=("a1",), time_value=1),
-        # Crossing PBS: H swaps paths, V stays.
-        PolarizingRouter("A", {("H", "a1"): "a2", ("V", "a1"): "a1",
-                               ("H", "a2"): "a1", ("V", "a2"): "a2"}),
-        # Interferometer entries: short (H) arm k1/k4, long (V) arm k2/k3.
-        PolarizingRouter("A", {("H", "a1"): "k1", ("V", "a1"): "k2"}),
-        PolarizingRouter("A", {("H", "a2"): "k4", ("V", "a2"): "k3"}),
-        LongArmDelay("A", "k2", "V"),
-        LongArmDelay("A", "k3", "V"),
-        lambda p: PolarizationRotation("A", rotation_angle(p.alpha2, p.beta2), paths=("k1", "k4")),
-        lambda p: PolarizationRotation("A", rotation_angle(p.alpha2, p.beta2) - math.pi / 2.0,
-                                       paths=("k2", "k3")),
-        # Interferometer exits: H transmits straight, V crosses arms.
-        PolarizingRouter("A", {("H", "k1"): "k1", ("V", "k1"): "k2",
-                               ("H", "k2"): "k2", ("V", "k2"): "k1"}),
-        PolarizingRouter("A", {("H", "k3"): "k3", ("V", "k3"): "k4",
-                               ("H", "k4"): "k4", ("V", "k4"): "k3"}),
-        # Both arms now sit in the same bin; the mark carries no information.
-        DropUniformRegister("A", "time", expected_value=1),
-        HalfWavePlate("A", ("k1",)),
-        HalfWavePlate("A", ("k2",)),
-        BalancedSplitter("A", ("k1", "k4"), ("kp1", "kp4")),
-        BalancedSplitter("A", ("k2", "k3"), ("kp2", "kp3")),
-    ),
-}
+#: The fixed optics of each circuit, in the order photon A meets them: one
+#: instance each per process, so every circuit of one kind shares them and the
+#: lowerings kept on them.  The rotations between them are built per target by
+#: the circuit functions below.
+_PF_OPTICS = (
+    WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, PF_PATHS),
+    FrequencyEraser("A", {"a1": "w1", "a2": "w2"}),
+)
+#: tb up to the rotations in the interferometer arms.
+_TB_INTO_ARMS = (
+    # Entry PBS: transmit H to a2, reflect V to a1.
+    PolarizingRouter("A", {"H": "a2", "V": "a1"}, registry=TB_PATHS),
+    PockelsCell("A", paths=("a2",), time_value=0),
+    PockelsCell("A", paths=("a1",), time_value=1),
+    # Crossing PBS: H swaps paths, V stays.
+    PolarizingRouter("A", {("H", "a1"): "a2", ("V", "a1"): "a1",
+                           ("H", "a2"): "a1", ("V", "a2"): "a2"}),
+    # Interferometer entries: short (H) arm k1/k4, long (V) arm k2/k3.
+    PolarizingRouter("A", {("H", "a1"): "k1", ("V", "a1"): "k2"}),
+    PolarizingRouter("A", {("H", "a2"): "k4", ("V", "a2"): "k3"}),
+    LongArmDelay("A", "k2", "V"),
+    LongArmDelay("A", "k3", "V"),
+)
+#: tb after the rotations in the interferometer arms.
+_TB_OUT_OF_ARMS = (
+    # Interferometer exits: H transmits straight, V crosses arms.
+    PolarizingRouter("A", {("H", "k1"): "k1", ("V", "k1"): "k2",
+                           ("H", "k2"): "k2", ("V", "k2"): "k1"}),
+    PolarizingRouter("A", {("H", "k3"): "k3", ("V", "k3"): "k4",
+                           ("H", "k4"): "k4", ("V", "k4"): "k3"}),
+    # Both arms now sit in the same bin; the mark carries no information.
+    DropUniformRegister("A", "time", expected_value=1),
+    HalfWavePlate("A", ("k1",)),
+    HalfWavePlate("A", ("k2",)),
+    BalancedSplitter("A", ("k1", "k4"), ("kp1", "kp4")),
+    BalancedSplitter("A", ("k2", "k3"), ("kp2", "kp3")),
+)
+
+
+def _pf_circuit(p: TargetParams) -> tuple[Element, ...]:
+    return (
+        PolarizationRotation("A", rotation_angle(p.alpha0, p.beta0)),
+        *_PF_OPTICS,
+        UnbalancedSplitter("A", ("a1", "a2"), 2.0 * rotation_angle(p.alpha1, p.beta1)),
+    )
+
+
+def _tb_circuit(p: TargetParams) -> tuple[Element, ...]:
+    theta2 = rotation_angle(p.alpha2, p.beta2)
+    return (
+        PolarizationRotation("A", rotation_angle(p.alpha0, p.beta0)),
+        *_TB_INTO_ARMS,
+        PolarizationRotation("A", theta2, paths=("k1", "k4")),
+        PolarizationRotation("A", theta2 - math.pi / 2.0, paths=("k2", "k3")),
+        *_TB_OUT_OF_ARMS,
+    )
+
+
+_CIRCUITS = {ProtocolKind.PF: _pf_circuit, ProtocolKind.TB: _tb_circuit}
 
 
 def build_circuit(kind: ProtocolKind, params: TargetParams) -> tuple[Element, ...]:
-    """The stages of ``_CIRCUITS`` photon A traverses, each rotation built for ``params``."""
+    """The stages photon A traverses, the rotations built for ``params``."""
     try:
-        stages = _CIRCUITS[kind]
+        circuit = _CIRCUITS[kind]
     except KeyError:
         raise unknown_protocol(kind) from None
-    # From a list: tuple() of a generator resizes the tuple, which cost 0.5 MiB of peak RSS.
-    return tuple([stage if isinstance(stage, Element) else stage(params) for stage in stages])
+    return circuit(params)
 
 
 def evolve(kind: ProtocolKind, params: TargetParams) -> StateVector:

@@ -14,7 +14,10 @@ reproducible.
 
 States are immutable; every operation returns a new instance.  Amplitudes with
 magnitude below ``PRUNE_TOL`` are dropped, and the squared norm must stay
-within ``NORM_TOL`` of one after every element application.
+within ``NORM_TOL`` of one after every element application.  Immutability lets
+a state keep what is derived from it: the channel is one state per protocol,
+shared by every caller, and a measured state partitions its support by
+photon-A ket once, on its first projection, for every outcome after it.
 """
 
 from __future__ import annotations
@@ -261,9 +264,11 @@ class StateVector:
         """Prune tiny amplitudes and enforce (or restore) unit norm, in one pass
         over labels the caller knows to be ``schema``'s; :meth:`build` checks them."""
         pruned: dict[Label, complex] = {}
-        norm_sq = 0.0  # summed in insertion order, as sum() over the kept amplitudes
+        # Term by term in insertion order: sum() of floats is compensated from Python 3.12 on.
+        norm_sq = 0.0
         for label, amp in amplitudes.items():
-            amp = complex(amp)
+            if type(amp) is not complex:
+                amp = complex(amp)
             magnitude = abs(amp)
             if magnitude < PRUNE_TOL:
                 continue
@@ -280,6 +285,19 @@ class StateVector:
             raise ValueError(f"state norm² = {norm_sq!r}, expected 1 within {NORM_TOL}")
         return cls(schema, MappingProxyType(pruned))
 
+    @cached_property
+    def _residuals(self) -> dict[tuple, dict[Label, complex]]:
+        """The support partitioned by photon-A ket, in one pass on the first
+        :func:`project_photon_a` of this state and kept with it: each part is the
+        receiver's unnormalized residual, ``((), b) → 0j + amp`` in support order."""
+        parts: dict[tuple, dict[Label, complex]] = {}
+        for (a_values, b_values), amp in self.amplitudes.items():
+            part = parts.get(a_values)
+            if part is None:
+                part = parts[a_values] = {}
+            part[((), b_values)] = 0j + amp
+        return parts
+
     def amplitude(self, label: Label) -> complex:
         return self.amplitudes.get(label, 0j)
 
@@ -287,7 +305,10 @@ class StateVector:
         return iter(self.amplitudes.items())
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+        norm_sq = 0.0  # summed term by term in insertion order, as settle does
+        for amp in self.amplitudes.values():
+            norm_sq += abs(amp) ** 2
+        return norm_sq
 
     def support(self) -> set[Label]:
         return set(self.amplitudes)
@@ -382,11 +403,13 @@ def receiver_schema(kind: ProtocolKind) -> Schema:
     return Schema((), hyper_bell_schema(kind).photon_b)
 
 
+@cache
 def make_hyper_bell(kind: ProtocolKind) -> StateVector:
     """The shared channel ½(|HH⟩+|VV⟩)(|ω₁ω₁⟩+|ω₂ω₂⟩), or with (|ee⟩+|ll⟩).
 
     Each of photon B's four canonical kets paired with itself, amplitude ½, so
-    both registers are perfectly correlated.
+    both registers are perfectly correlated.  Built once per protocol: every
+    caller gets the same read-only state.
     """
     schema = hyper_bell_schema(kind)
     return StateVector.build(schema, {(ket, ket): 0.5 for ket in schema.layout("B").kets})
@@ -414,6 +437,24 @@ def fidelity(s: StateVector, t: StateVector) -> float:
     return abs(overlap) ** 2
 
 
+@cache
+def _detector(schema: Schema, outcome: Outcome) -> tuple[tuple, Schema]:
+    """The photon-A ket ``outcome`` names on ``schema`` and the receiver's schema,
+    kept once the register and detector checks pass; a failed check keeps
+    nothing, so it raises on every call."""
+    layout = schema.layout("A")
+    names = sorted(layout.positions)
+    if names != ["path", "pol"]:
+        raise SchemaMismatchError(
+            f"projective measurement needs photon A in (pol, path) registers, got {names}"
+        )
+    pol_reg, path_reg = layout.register("pol"), layout.register("path")
+    if outcome.polarization not in pol_reg.values or outcome.path not in path_reg.values:
+        raise UnknownDetectorError(f"no detector for outcome {outcome}")
+    named = {"pol": outcome.polarization, "path": outcome.path}
+    return tuple(named[reg.name] for reg in layout.registers), Schema((), schema.photon_b)
+
+
 def project_photon_a(
     state: StateVector, outcome: Outcome
 ) -> tuple[float, StateVector | None]:
@@ -423,24 +464,13 @@ def project_photon_a(
     reported as (0.0, None) rather than an error, since degenerate parameters
     legitimately empty branches.
     """
-    layout = state.schema.layout("A")
-    names = sorted(layout.positions)
-    if names != ["path", "pol"]:
-        raise SchemaMismatchError(
-            f"projective measurement needs photon A in (pol, path) registers, got {names}"
-        )
-    pol_reg, path_reg = layout.register("pol"), layout.register("path")
-    if outcome.polarization not in pol_reg.values or outcome.path not in path_reg.values:
-        raise UnknownDetectorError(f"no detector for outcome {outcome}")
-    i_pol, i_path = layout.positions["pol"], layout.positions["path"]
-
-    residual: dict[Label, complex] = {}
-    for (a_values, b_values), amp in state.items():
-        if a_values[i_pol] == outcome.polarization and a_values[i_path] == outcome.path:
-            residual[((), b_values)] = residual.get(((), b_values), 0j) + amp
-    probability = sum(abs(a) ** 2 for a in residual.values())
-    if not residual or probability == 0.0:
+    ket, receiver = _detector(state.schema, outcome)
+    residual = state._residuals.get(ket)
+    if residual is None:
         return 0.0, None
-    bob_schema = Schema((), state.schema.photon_b)
-    bob = StateVector.build(bob_schema, residual, normalize=True)
-    return probability, bob
+    probability = 0.0  # summed term by term in insertion order, as settle does
+    for amp in residual.values():
+        probability += abs(amp) ** 2
+    if probability == 0.0:
+        return 0.0, None
+    return probability, StateVector.build(receiver, residual, normalize=True)

@@ -29,8 +29,9 @@ from hyper_rsp.elements import (
     WavelengthRouter,
     all_pauli_strings,
 )
-from hyper_rsp.protocols import TB_PATHS, build_circuit, run_protocol
+from hyper_rsp.protocols import TB_PATHS, build_circuit, evolve, outcome_registry, run_protocol
 from hyper_rsp.states import (
+    Outcome,
     ProtocolKind,
     Schema,
     SchemaMismatchError,
@@ -42,6 +43,7 @@ from hyper_rsp.states import (
     make_target,
     path_register,
     pol_register,
+    project_photon_a,
     receiver_schema,
     time_register,
 )
@@ -677,6 +679,27 @@ def test_every_stage_and_branch_is_bit_exact():
                           exact(report.bob_state_pre), exact(report.bob_state_post))
                 digest.update(repr(branch).encode())
     assert digest.hexdigest() == BIT_EXACT_DIGEST.read_text().strip()
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.PF, ProtocolKind.TB])
+@pytest.mark.parametrize("params", MEMO_TARGETS)
+def test_projections_of_one_state_match_a_fresh_state_bit_for_bit(kind, params):
+    """The photon-A partition kept on a measured state serves every outcome, in
+    any order and any number of times, as a freshly evolved state does; the
+    empty outcomes included."""
+    def projected(state, outcome):
+        probability, bob = project_photon_a(state, outcome)
+        return repr(probability), None if bob is None else exact(bob)
+
+    final = evolve(kind, params)
+    layout = final.schema.layout("A")
+    outcomes = [Outcome(pol, path) for pol in layout.register("pol").values
+                for path in layout.register("path").values]
+    fresh = {outcome: projected(evolve(kind, params), outcome) for outcome in outcomes}
+    assert sum(bob is not None for _, bob in fresh.values()) == len(outcome_registry(kind))
+    for order in (outcomes, outcomes[::-1], [o for o in outcomes for _ in range(2)]):
+        for outcome in order:
+            assert projected(final, outcome) == fresh[outcome], outcome
 
 
 def test_one_element_keeps_one_lowering_per_schema():

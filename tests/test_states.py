@@ -1,5 +1,6 @@
 import cmath
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -15,6 +16,7 @@ from hyper_rsp.elements import (
     PolarizingRouter,
     WavelengthRouter,
 )
+from hyper_rsp.protocols import build_circuit
 from hyper_rsp.states import (
     POLARIZATION,
     Outcome,
@@ -57,6 +59,23 @@ def test_hyper_bell_tb_amplitudes():
     assert state.amplitude((("V", 1), ("V", 1))) == pytest.approx(0.5)
     assert state.amplitude((("H", 0), ("H", 0))) == pytest.approx(0.5)
     assert len(state.support()) == 4
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_hyper_bell_is_one_read_only_state_per_protocol(kind):
+    state = make_hyper_bell(kind)
+    assert make_hyper_bell(kind) is state
+    assert state.schema is hyper_bell_schema(kind)
+    # settle boxes the float ½ once, as an exact complex
+    assert all(type(amp) is complex for amp in state.amplitudes.values())
+    label = next(iter(state.amplitudes))
+    with pytest.raises(TypeError):
+        state.amplitudes[label] = 1.0
+    with pytest.raises(TypeError):
+        del state.amplitudes[label]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.amplitudes = {}
+    assert state.amplitudes[label] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +178,19 @@ def test_non_finite_norm_rejected(bad, normalize):
 def test_nan_rotation_rejected():
     with pytest.raises(ValueError, match="not finite"):
         PolarizationRotation("A", math.nan).apply(make_hyper_bell(ProtocolKind.PF))
+
+
+def test_norm_sq_sums_in_insertion_order():
+    """``norm_sq`` adds |a|² term by term, as ``settle`` does: ``sum()`` of floats
+    is compensated from Python 3.12 on and moves some stage norms by one ulp."""
+    for kind in ProtocolKind:
+        state = make_hyper_bell(kind)
+        for element in build_circuit(kind, TargetParams.from_angles(0.3, 1.1, 2.0)):
+            state = element.apply(state)
+            in_order = 0.0
+            for amp in state.amplitudes.values():
+                in_order += abs(amp) ** 2
+            assert repr(state.norm_sq()) == repr(in_order), element
 
 
 def test_tiny_amplitudes_pruned():
@@ -308,6 +340,21 @@ def test_projection_unknown_detector():
 def test_projection_needs_measurement_schema():
     with pytest.raises(SchemaMismatchError):
         project_photon_a(make_hyper_bell(ProtocolKind.PF), Outcome("H", "a1"))
+
+
+def test_projection_checks_raise_on_every_call():
+    """A failed check keeps nothing: it raises again, also once other outcomes
+    on the same schema, or the same outcome on another schema, have been kept."""
+    state = _measured_state()
+    bell = make_hyper_bell(ProtocolKind.PF)
+    for _ in range(3):
+        with pytest.raises(UnknownDetectorError):
+            project_photon_a(state, Outcome("H", "a9"))
+        with pytest.raises(UnknownDetectorError):
+            project_photon_a(state, Outcome("D", "a1"))
+        with pytest.raises(SchemaMismatchError):
+            project_photon_a(bell, Outcome("H", "a1"))
+        assert project_photon_a(state, Outcome("H", "a1"))[0] == pytest.approx(0.5)
 
 
 @given(params=target_params())
