@@ -13,8 +13,15 @@ the 50:50 splitter, ±1 for a Pauli) and keeps its own pattern; a rotation's ang
 lives only in its weights, so one pattern serves every angle of its shape.  Each
 element keeps one :class:`Lowering` per schema, wrapping its pattern, in one
 instance-``__dict__`` entry, so :meth:`Element.apply` weighs the kept slots and
-hands its labels to the norm step unchecked.  Elements are frozen and every hook
-is pure, so nothing goes stale.  The same patterns feed the dense matrix route in
+hands its labels to the norm step unchecked.  Most optics only relabel: when
+lowered, a map whose domain kets each have one image, no two the same over the
+whole layout, and whose weights are ±1 is flagged a signed permutation, from its
+slots and weights alone.  A flagged lowering's ``apply`` writes each support
+label's image in one pass and skips the norm step: a sign flip keeps each
+amplitude's magnitude and distinct images keep every amplitude and its order, so
+the prune test and the in-order norm² (within ``NORM_TOL`` of one) are exactly
+the input's, which passed them when it was built.  Elements are frozen and every
+hook is pure, so nothing goes stale.  The same patterns feed the dense matrix route in
 :mod:`hyper_rsp.dense`, which independently checks unitarity and matrix-vector
 equivalence.
 
@@ -49,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import ClassVar, Hashable, Mapping
 
 from .states import (
@@ -101,14 +109,37 @@ class Pattern:
 
 
 class Lowering:
-    """One element's lowering on one schema: its ``pattern`` and ``out_schema``, and
-    the dense view (``matrix``, ``in_kets``, ``positions``, ``outside``, ``defect``)
-    that :func:`hyper_rsp.dense.element_to_dense` adds on request."""
+    """One element's lowering on one schema: its ``pattern`` and ``out_schema``, its
+    ``relabeling`` (see :func:`_relabeling`), and the dense view (``matrix``,
+    ``in_kets``, ``positions``, ``outside``, ``defect``) that
+    :func:`hyper_rsp.dense.element_to_dense` adds on request."""
 
-    __slots__ = ("pattern", "out_schema", "matrix", "in_kets", "positions", "outside", "defect")
+    __slots__ = ("pattern", "out_schema", "relabeling", "matrix", "in_kets", "positions",
+                 "outside", "defect")
 
-    def __init__(self, pattern: Pattern):
+    def __init__(self, pattern: Pattern, weights: tuple):
         self.pattern, self.out_schema, self.matrix = pattern, pattern.out_schema, None
+        self.relabeling = _relabeling(pattern.slots, weights)
+
+
+def _relabeling(slots: dict, weights: tuple) -> dict | None:
+    """The ket → (image, weight) table (``None`` outside the domain) when the
+    weighted ``slots`` are a signed permutation over the whole layout: each domain
+    ket has one image, no two share one, and each weight is ±1.  Any other map,
+    ``None``."""
+    table, images = {}, set()
+    for ket, kept in slots.items():
+        if kept is None:
+            table[ket] = None
+            continue
+        if len(kept) != 1:
+            return None
+        [(image, slot)] = kept
+        if weights[slot] not in (1, -1) or image in images:
+            return None
+        images.add(image)
+        table[ket] = image, weights[slot]
+    return table
 
 
 @dataclass(frozen=True)
@@ -216,7 +247,7 @@ class Element:
                 layout = schema.layout(self.photon)
                 self.validate(layout)
                 pattern = patterns[key] = Pattern(self, layout, self.output_schema(schema))
-            lowering = self._lowerings[schema] = Lowering(pattern)
+            lowering = self._lowerings[schema] = Lowering(pattern, self.weights)
         return lowering
 
     def apply(self, state: StateVector) -> StateVector:
@@ -224,22 +255,36 @@ class Element:
         lowering = self._lowerings.get(schema)
         if lowering is None:
             lowering = self.lowering(schema)
-        memo, weights = lowering.pattern.slots, self.weights
         on_a = self.photon == "A"
         acc: dict[Label, complex] = {}
+        relabeling = lowering.relabeling
+        if relabeling is not None:
+            for label, amp in state.amplitudes.items():
+                ket, rest = label if on_a else label[::-1]
+                kept = relabeling[ket]
+                if kept is None:
+                    raise self._outside(schema, label)
+                image, weight = kept
+                acc[(image, rest) if on_a else (rest, image)] = 0j + amp * weight
+            # each |amp| kept, in order: the input's prune and norm hold (module doc)
+            return StateVector(lowering.out_schema, MappingProxyType(acc))
+        memo, weights = lowering.pattern.slots, self.weights
         for label, amp in state.amplitudes.items():
             ket, rest = label if on_a else label[::-1]
             slots = memo[ket]
             if slots is None:
-                raise CorrelationError(
-                    f"{type(self).__name__}: ket {schema.format_label(label)} lies "
-                    "outside the element's legal domain"
-                )
+                raise self._outside(schema, label)
             for image, slot in slots:
                 new_label = (image, rest) if on_a else (rest, image)
                 acc[new_label] = acc.get(new_label, 0j) + amp * weights[slot]
         # every label is a checked image beside a label of the input state
         return StateVector.settle(lowering.out_schema, acc)
+
+    def _outside(self, schema: Schema, label: Label) -> CorrelationError:
+        return CorrelationError(
+            f"{type(self).__name__}: ket {schema.format_label(label)} lies "
+            "outside the element's legal domain"
+        )
 
 
 def _with(ket: tuple, position: int, value) -> tuple:

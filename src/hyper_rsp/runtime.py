@@ -20,6 +20,11 @@ integers, so its statistics do not depend on the order or the process in which
 its chunks are drawn.  ``RandomState`` is numpy's frozen legacy stream (NEP 19):
 for a fixed bit generator it gives the same values in every numpy release, up
 to roundoff error.  Seeds and chunk indices are integers in [0, 2^64).
+:func:`chunk_generator` hands Philox the key words through a small seed sequence
+of its own instead of ``Philox(key=...)``, which would first fill an unused
+``SeedSequence`` from OS entropy; the stream is the same.  So the generator's
+``bit_generator.seed_seq`` is that key holder, and ``bit_generator.spawn``
+raises ``TypeError``, as it cannot spawn.
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so the codec (all that ``verify`` uses of this module)
@@ -28,6 +33,7 @@ loads without it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -132,7 +138,28 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
         if not 0 <= value < 2**64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
         key.append(value)
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    words = _chunk_key_type()(np.array(key, dtype=np.uint64))
+    return np.random.Generator(np.random.Philox(words, counter=np.zeros(4, np.uint64)))
+
+
+@functools.cache
+def _chunk_key_type() -> type:
+    """A seed sequence that hands Philox its two key words as they are, so no
+    ``SeedSequence`` reads OS entropy first; defined on first use, like every
+    use of numpy here."""
+    import numpy as np
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ChunkKey(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a chunk key is exactly two 64-bit words")
+            return self.words
+
+    return ChunkKey
 
 
 class BranchSampler:

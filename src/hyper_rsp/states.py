@@ -14,7 +14,10 @@ reproducible.
 
 States are immutable; every operation returns a new instance.  Amplitudes with
 magnitude below ``PRUNE_TOL`` are dropped, and the squared norm must stay
-within ``NORM_TOL`` of one after every element application.  Immutability lets
+within ``NORM_TOL`` of one after every element application.  An element that is
+a signed permutation (see :mod:`hyper_rsp.elements`) builds its output without
+:meth:`StateVector.settle`: it keeps every magnitude and their order, so both
+checks give what they gave on its input.  Immutability lets
 a state keep what is derived from it: the channel is one state per protocol,
 shared by every caller, and a measured state partitions its support by
 photon-A ket once, on its first projection, for every outcome after it.

@@ -917,3 +917,61 @@ def test_both_routes_reject_a_bad_image_off_the_support():
     with pytest.raises(SchemaMismatchError) as dense:
         apply_dense(Misimaged("A", ("V", "a2"), ("D", "a2")), state_to_vector(state), state.schema)
     assert str(sparse.value) == str(dense.value) == "value 'D' not allowed in register 'pol'"
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.PF, ProtocolKind.TB])
+def test_exactly_the_signed_permutations_skip_the_norm_step(kind, monkeypatch):
+    """Every fixed relabeling stage and all 16 corrections are flagged on their
+    schema and apply without :meth:`StateVector.settle`; no rotation or splitter
+    is flagged, the zero-angle rotation and the full-swap splitter included."""
+    settled = []
+    settle = StateVector.settle.__func__
+
+    def counted(cls, *args, **kwargs):
+        settled.append(args[0])
+        return settle(cls, *args, **kwargs)
+
+    monkeypatch.setattr(StateVector, "settle", classmethod(counted))
+    params = MEMO_TARGETS[0]
+    state = make_hyper_bell(kind)
+    for element in build_circuit(kind, params):
+        relabels = not isinstance(element, (Rotation, BalancedSplitter))
+        assert (element.lowering(state.schema).relabeling is not None) == relabels, element
+        before = len(settled)
+        state = element.apply(state)
+        assert (len(settled) == before) == relabels, element
+    for still in (PolarizationRotation("A", 0.0), UnbalancedSplitter("A", ("a1", "a2"), math.pi)):
+        assert still.lowering(two_path_state({(("H", "a1"), ("H",)): 1.0}).schema).relabeling is None
+    target = make_target(params, kind)
+    strings = all_pauli_strings(tuple(r.name for r in target.schema.photon_b))
+    assert len(strings) == 16
+    for report in run_protocol(kind, params):
+        for string in strings:
+            op = string.receiver_op
+            assert op.lowering(report.bob_state_pre.schema).relabeling is not None, string
+            before = len(settled)
+            op.apply(report.bob_state_pre)
+            assert len(settled) == before, string
+
+
+@dataclass(frozen=True)
+class Halved(Element):
+    """The identity with weight 0.5: one image per ket, none shared."""
+
+    weights = (0.5 + 0j,)
+
+    def ket_slots(self, ket, layout):
+        return [(ket, 0)]
+
+
+@pytest.mark.parametrize(
+    "element",
+    [Misimaged("A", ("V", "a2"), ("H", "a1")), Halved("A")],
+    ids=["two-kets-one-image", "weight-one-half"],
+)
+def test_a_map_that_is_not_a_signed_permutation_is_not_flagged_and_still_settles(element):
+    state = two_path_state({(("H", "a1"), ("H",)): 0.6, (("V", "a2"), ("H",)): 0.8})
+    assert element.lowering(state.schema).relabeling is None
+    for _ in range(2):
+        with pytest.raises(ValueError, match="state norm²"):
+            element.apply(state)

@@ -26,7 +26,7 @@ from hyper_rsp.runtime import (
     message_to_bytes,
     sample_with_loss,
 )
-from hyper_rsp.cli import random_params
+from hyper_rsp.cli import PARAMS_STREAM, random_params
 from hyper_rsp.protocols import outcome_registry, run_protocol
 from hyper_rsp.states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError
 
@@ -399,6 +399,21 @@ def test_draw_many_refuses_anything_but_words(kind, generic_params):
         with pytest.raises(TypeError, match="detected count must be an integer"):
             sampler.draw_many(state, detected)
     assert sum(sampler.draw_many(state, np.int64(3))) == 3
+
+
+@pytest.mark.parametrize(
+    "seed, chunk_index",
+    [(0, 0), (2**64 - 1, 2**64 - 1), (7, PARAMS_STREAM), (0x0123456789ABCDEF, 2**40 + 3)],
+)
+def test_chunk_key_gives_the_philox_keyed_stream(seed, chunk_index):
+    """The key words reach Philox as they are: each call's raw stream is
+    ``Philox(key=[seed, chunk_index])``'s, from its own generator."""
+    expected = np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)).random_raw(64)
+    first, second = (chunk_generator(seed, chunk_index) for _ in range(2))
+    assert first is not second and first.bit_generator is not second.bit_generator
+    assert first.bit_generator.seed_seq is not second.bit_generator.seed_seq
+    for generator in (first, second):
+        assert generator.bit_generator.random_raw(64).tolist() == expected.tolist()
 
 
 def test_chunk_generator_seed_range(generic_params):
