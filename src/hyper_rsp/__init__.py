@@ -6,7 +6,7 @@ loss accounting around them.
 """
 
 from .efficiency import EfficiencyInput, efficiency, protocol_efficiency
-from .elements import PauliString
+from .elements import PauliOp
 from .protocols import (
     BranchReport,
     CorrectionSearch,
@@ -44,7 +44,7 @@ __all__ = [
     "CorrectionSearch",
     "EfficiencyInput",
     "Outcome",
-    "PauliString",
+    "PauliOp",
     "ProtocolKind",
     "SampleStats",
     "Schema",

@@ -391,7 +391,7 @@ def open_output(parser: argparse.ArgumentParser, path: str | None):
 
 def _add_common(parser: argparse.ArgumentParser, with_protocol: bool = True) -> None:
     if with_protocol:
-        parser.add_argument("--protocol", required=True, choices=["pf", "tb"])
+        parser.add_argument("--protocol", required=True, choices=[k.value for k in ProtocolKind])
         parser.add_argument(
             "--params",
             required=True,

@@ -37,7 +37,7 @@ class EfficiencyInput:
             ("channel_qubits", self.channel_qubits),
             ("classical_bits", self.classical_bits),
         ):
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.channel_qubits + self.classical_bits == 0:
             raise ValueError("channel_qubits + classical_bits must be positive")

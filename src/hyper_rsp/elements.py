@@ -41,8 +41,8 @@ The rotation is one rule, :class:`Rotation`: the wave plate applies it with θ
 on (u, v) = (H, V), the unbalanced splitter with φ/2 on its path pair (p, q).
 The Pockels cell is a half-wave plate switched on in one time bin.
 
-The Pauli correction is defined by one table, ``_PAULI_ACTIONS``: each factor
-acts on a two-valued register (x₀, x₁) as
+:class:`PauliOp` is the one correction type, held by the table, the report and the
+search; each factor acts by ``_PAULI_ACTIONS`` on a two-valued register (x₀, x₁) as
 
     σ_z: x₀ → x₀, x₁ → -x₁       σ_x: swap
     isy: x₀ → x₁, x₁ → -x₀       I: identity.
@@ -140,45 +140,6 @@ def _relabeling(slots: dict, weights: tuple) -> dict | None:
         images.add(image)
         table[ket] = image, weights[slot]
     return table
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A correction operator: one Pauli factor per receiver register.
-
-    ``factors`` holds exactly two (register name, axis) pairs, axis in
-    {"I", "sx", "isy", "sz"}.  ``isy`` is σ_xσ_z = -iσ_y (x₀ → x₁, x₁ → -x₀),
-    not iσ_y; the two differ by a global sign, which fidelity cannot see.
-    """
-
-    factors: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.factors) != 2:
-            raise ValueError("a correction carries exactly two factors")
-        names = [register for register, _ in self.factors]
-        if len(set(names)) != len(names):
-            raise ValueError(f"a correction acts on each register once, got {names}")
-        for register, axis in self.factors:
-            if axis not in PAULI_AXES:
-                raise ValueError(f"unknown Pauli axis {axis!r} on register {register!r}")
-
-    def compact(self) -> str:
-        """Short ASCII form, e.g. ``sz^p*sx^f``."""
-        parts = []
-        for register, axis in self.factors:
-            tag = _DOF_TAGS.get(register, register)
-            parts.append(f"{axis}^{tag}")
-        return "*".join(parts)
-
-    def __str__(self) -> str:
-        return self.compact()
-
-    @functools.cached_property
-    def receiver_op(self) -> PauliOp:
-        """The one element applying this correction to the receiver's photon B,
-        so its kept lowerings serve every later correction by this string."""
-        return PauliOp("B", self)
 
 
 @dataclass(frozen=True)
@@ -381,10 +342,8 @@ class WavelengthRouter(Element):
         missing = [f for f in freq.values if f not in self.routing]
         if missing:
             raise ValueError(f"routing does not cover frequencies {missing}")
-        for f, target in self.routing.items():
+        for f in self.routing:
             freq.index(f)
-            if target not in self.registry:
-                raise ValueError(f"routed path {target!r} not in declared registry")
 
     def output_registers(self, layout):
         return layout.registers + (path_register(self.registry),)
@@ -449,10 +408,8 @@ class PolarizingRouter(Element):
             missing = [p for p in pol.values if p not in self.routing]
             if missing:
                 raise ValueError(f"entry routing does not cover polarizations {missing}")
-            for p, target in self.routing.items():
+            for p in self.routing:
                 pol.index(p)
-                if target not in self.registry:
-                    raise ValueError(f"routed path {target!r} not in declared registry")
             return
         path = layout.register("path")
         if len(self._images) != len(self.routing):
@@ -466,8 +423,6 @@ class PolarizingRouter(Element):
                         f"routing table misses ({other!r}, {p!r}); both polarizations "
                         "must be covered for every input path"
                     )
-        for target in self.routing.values():
-            path.index(target)
 
     def output_registers(self, layout):
         if self._entry():
@@ -614,15 +569,37 @@ class BalancedSplitter(Element):
 
 @dataclass(frozen=True)
 class PauliOp(Element):
-    """Apply a two-factor correction to the photon's named registers, each by
-    its ``_PAULI_ACTIONS`` entry."""
+    """A correction operator: exactly two (register name, axis) ``factors``, one
+    per named register of the photon, each applied by its ``_PAULI_ACTIONS``
+    entry (the module doc gives the axes and the sign convention of ``isy``)."""
 
-    string: PauliString
+    factors: tuple[tuple[str, str], ...]
 
     weights = (1.0 + 0j, -1.0 + 0j)
 
+    def __post_init__(self) -> None:
+        if len(self.factors) != 2:
+            raise ValueError("a correction carries exactly two factors")
+        names = [register for register, _ in self.factors]
+        if len(set(names)) != len(names):
+            raise ValueError(f"a correction acts on each register once, got {names}")
+        for register, axis in self.factors:
+            if axis not in PAULI_AXES:
+                raise ValueError(f"unknown Pauli axis {axis!r} on register {register!r}")
+
+    def compact(self) -> str:
+        """Short ASCII form, e.g. ``sz^p*sx^f``."""
+        parts = []
+        for register, axis in self.factors:
+            tag = _DOF_TAGS.get(register, register)
+            parts.append(f"{axis}^{tag}")
+        return "*".join(parts)
+
+    def __str__(self) -> str:
+        return self.compact()
+
     def validate(self, layout: Layout) -> None:
-        for register, _ in self.string.factors:
+        for register, _ in self.factors:
             values = layout.register(register).values
             if len(values) != 2:
                 raise SchemaMismatchError(
@@ -632,7 +609,7 @@ class PauliOp(Element):
 
     def ket_slots(self, ket, layout):
         image, slot = ket, 0
-        for register, axis in self.string.factors:
+        for register, axis in self.factors:
             position = layout.positions[register]
             values = layout.registers[position].values
             if ket[position] not in values:
@@ -643,11 +620,12 @@ class PauliOp(Element):
 
 
 @functools.cache
-def all_pauli_strings(register_names: tuple[str, str]) -> tuple[PauliString, ...]:
-    """All 16 two-factor corrections over the given registers, in a fixed order."""
+def all_pauli_strings(register_names: tuple[str, str]) -> tuple[PauliOp, ...]:
+    """All 16 two-factor corrections over the receiver's given registers, in a
+    fixed order: one instance each per process, so each keeps its lowerings."""
     first, second = register_names
     return tuple(
-        PauliString(((first, ax1), (second, ax2)))
+        PauliOp("B", ((first, ax1), (second, ax2)))
         for ax1 in PAULI_AXES
         for ax2 in PAULI_AXES
     )

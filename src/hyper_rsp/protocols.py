@@ -39,7 +39,7 @@ from .elements import (
     FrequencyEraser,
     HalfWavePlate,
     LongArmDelay,
-    PauliString,
+    PauliOp,
     PockelsCell,
     PolarizationRotation,
     PolarizingRouter,
@@ -164,7 +164,7 @@ _GENERIC_TARGET = TargetParams.from_angles(0.3, 1.1, 2.0)
 
 
 @cache
-def _corrections(kind: ProtocolKind) -> dict[Outcome, tuple[int, PauliString]]:
+def _corrections(kind: ProtocolKind) -> dict[Outcome, tuple[int, PauliOp]]:
     """The protocol's classical side, built on first use: the final stage's
     occupied photon-A kets in canonical order (the detector registry), each
     mapped to its message code (its position) and its correction, which must
@@ -188,7 +188,7 @@ def outcome_registry(kind: ProtocolKind) -> tuple[Outcome, ...]:
     return tuple(_corrections(kind))
 
 
-def correction_table(kind: ProtocolKind, outcome: Outcome) -> PauliString:
+def correction_table(kind: ProtocolKind, outcome: Outcome) -> PauliOp:
     """The receiver's correction for one announced outcome."""
     try:
         return _corrections(kind)[outcome][1]
@@ -204,7 +204,7 @@ class BranchReport:
     outcome: Outcome
     probability: float
     bob_state_pre: StateVector
-    correction: PauliString
+    correction: PauliOp
     bob_state_post: StateVector
     fidelity_post: float
     target: StateVector
@@ -224,7 +224,7 @@ def run_protocol(kind: ProtocolKind, params: TargetParams) -> tuple[BranchReport
         probability, bob_pre = project_photon_a(final, outcome)
         if bob_pre is None:
             raise RuntimeError(f"branch {outcome} unexpectedly empty")
-        bob_post = correction.receiver_op.apply(bob_pre)
+        bob_post = correction.apply(bob_pre)
         reports.append(
             BranchReport(
                 outcome=outcome,
@@ -243,7 +243,7 @@ def run_protocol(kind: ProtocolKind, params: TargetParams) -> tuple[BranchReport
 class CorrectionSearch:
     """Outcome of the exhaustive 16-way correction search."""
 
-    matches: tuple[PauliString, ...]
+    matches: tuple[PauliOp, ...]
 
 
 def derive_correction(bob_state: StateVector, target: StateVector) -> CorrectionSearch:
@@ -262,7 +262,7 @@ def derive_correction(bob_state: StateVector, target: StateVector) -> Correction
         raise SchemaMismatchError("correction search expects a two-register receiver photon")
     matches = []
     for candidate in all_pauli_strings(register_names):
-        corrected = candidate.receiver_op.apply(bob_state)
+        corrected = candidate.apply(bob_state)
         if fidelity(corrected, target) >= 1.0 - FIDELITY_TOL:
             matches.append(candidate)
     return CorrectionSearch(tuple(matches))

@@ -103,7 +103,7 @@ def freq_register() -> Register:
 
 
 def time_register(values: tuple = TIME_BINS) -> Register:
-    if any((not isinstance(v, int)) or v < 0 for v in values):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in values):
         raise ValueError("time-bin delays must be non-negative integers")
     return Register("time", tuple(values))
 

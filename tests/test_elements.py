@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import MEMO_TARGETS, angles, assert_amplitudes_equal, ket_image, target_params
+from hyper_rsp import protocols
 from hyper_rsp.dense import apply_dense, element_to_dense, state_to_vector
 from hyper_rsp.elements import (
     BalancedSplitter,
@@ -20,7 +21,6 @@ from hyper_rsp.elements import (
     HalfWavePlate,
     LongArmDelay,
     PauliOp,
-    PauliString,
     PockelsCell,
     PolarizationRotation,
     PolarizingRouter,
@@ -441,7 +441,7 @@ def test_balanced_splitter_interference():
 def test_pauli_identity():
     params = TargetParams(0.6, 0.8, 0.28, 0.96)
     target = make_target(params, ProtocolKind.PF)
-    op = PauliOp("B", PauliString((("pol", "I"), ("freq", "I"))))
+    op = PauliOp("B", (("pol", "I"), ("freq", "I")))
     assert_amplitudes_equal(op.apply(target), dict(target.items()))
 
 
@@ -458,7 +458,7 @@ def test_pauli_z_z_restores_mirrored_state():
             ((), ("V", "w2")): b0 * b1,
         },
     )
-    corrected = PauliOp("B", PauliString((("pol", "sz"), ("freq", "sz")))).apply(mirrored)
+    corrected = PauliOp("B", (("pol", "sz"), ("freq", "sz"))).apply(mirrored)
     target = make_target(TargetParams(a0, b0, a1, b1), ProtocolKind.PF)
     assert_amplitudes_equal(corrected, dict(target.items()))
 
@@ -470,7 +470,7 @@ def test_pauli_isy_convention():
     state = StateVector.build(
         schema, {((), ("H", 0)): b2, ((), ("H", 1)): -a2}
     )
-    rotated = PauliOp("B", PauliString((("pol", "I"), ("time", "isy")))).apply(state)
+    rotated = PauliOp("B", (("pol", "I"), ("time", "isy"))).apply(state)
     assert rotated.amplitude(((), ("H", 0))) == pytest.approx(a2)
     assert rotated.amplitude(((), ("H", 1))) == pytest.approx(b2)
 
@@ -478,12 +478,12 @@ def test_pauli_isy_convention():
 def test_pauli_register_mismatch():
     target = make_target(TargetParams(1, 0), ProtocolKind.PF)
     with pytest.raises(SchemaMismatchError):
-        PauliOp("B", PauliString((("pol", "sz"), ("time", "sz")))).apply(target)
+        PauliOp("B", (("pol", "sz"), ("time", "sz"))).apply(target)
 
 
 def test_pauli_needs_a_two_valued_register_on_every_call():
     schema = Schema((pol_register(), path_register(TB_PATHS)), (pol_register(),))
-    op = PauliOp("A", PauliString((("pol", "sz"), ("path", "sx"))))
+    op = PauliOp("A", (("pol", "sz"), ("path", "sx")))
     for _ in range(2):  # a failed table build is not cached
         with pytest.raises(SchemaMismatchError, match="'path' has 10 values"):
             op.validate(schema.layout("A"))
@@ -515,22 +515,22 @@ def test_pauli_matrices_are_textbook_kron_products(schema, photon):
     layout = schema.layout(photon)
     kets = list(layout.kets)
     names = tuple(r.name for r in layout.registers)
-    for string in all_pauli_strings(names):
-        op = PauliOp(photon, string)
-        (_, first), (_, second) = string.factors
+    for correction in all_pauli_strings(names):
+        op = PauliOp(photon, correction.factors)
+        (_, first), (_, second) = op.factors
         expected = np.kron(TEXTBOOK_PAULI[first], TEXTBOOK_PAULI[second])
-        assert np.array_equal(element_to_dense(op, schema).matrix, expected), string
+        assert np.array_equal(element_to_dense(op, schema).matrix, expected), op
         foreign = ("D",) + kets[0][1:]
         assert ket_image(op, foreign, layout) is None
 
 
-def test_pauli_string_validation():
+def test_pauli_op_validation():
     with pytest.raises(ValueError):
-        PauliString((("pol", "sz"),))
+        PauliOp("B", (("pol", "sz"),))
     with pytest.raises(ValueError):
-        PauliString((("pol", "sz"), ("freq", "sy")))
+        PauliOp("B", (("pol", "sz"), ("freq", "sy")))
     with pytest.raises(ValueError, match="each register once"):
-        PauliString((("pol", "sx"), ("pol", "sz")))
+        PauliOp("B", (("pol", "sx"), ("pol", "sz")))
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +651,14 @@ def test_kept_ket_images_are_bit_identical(kind, params):
         assert_memo_is_bit_identical(element, state)
         state = element.apply(state)
     target = make_target(params, kind)
+    corrections = all_pauli_strings(tuple(r.name for r in target.schema.photon_b))
+    # the table holds the enumerated instances, so each keeps one lowering per schema
+    for _, correction in protocols._corrections(kind).values():
+        assert any(correction is op for op in corrections), correction
     for report in run_protocol(kind, params):
-        for string in all_pauli_strings(tuple(r.name for r in target.schema.photon_b)):
-            assert string.receiver_op is string.receiver_op
-            assert_memo_is_bit_identical(string.receiver_op, report.bob_state_pre)
+        assert any(report.correction is op for op in corrections), report.correction
+        for op in corrections:
+            assert_memo_is_bit_identical(op, report.bob_state_pre)
 
 
 #: SHA-256 of every stage's and every branch's exact amplitudes at MEMO_TARGETS
@@ -908,6 +912,33 @@ def test_an_image_outside_the_output_register_raises_and_is_not_kept(photon, ket
     assert element._lowerings == {}
 
 
+@pytest.mark.parametrize(
+    "router, state",
+    [
+        (WavelengthRouter("A", {"w1": "a1", "w2": "a9"}, ("a1", "a2")),
+         make_hyper_bell(ProtocolKind.PF)),
+        (PolarizingRouter("A", {"H": "a2", "V": "a9"}, registry=TB_PATHS),
+         make_hyper_bell(ProtocolKind.TB)),
+        (PolarizingRouter("A", {("H", "a1"): "a2", ("V", "a1"): "a9",
+                                ("H", "a2"): "a1", ("V", "a2"): "a2"}),
+         two_path_state({(("H", "a1"), ("H",)): 0.6, (("V", "a2"), ("V",)): 0.8})),
+    ],
+    ids=["wavelength", "entry-pbs", "crossing-pbs"],
+)
+def test_a_router_target_outside_the_path_register_raises_and_is_not_kept(router, state):
+    """No router checks its targets itself: the pattern refuses the bad image."""
+    message = "value 'a9' not allowed in register 'path'"
+    for _ in range(2):
+        with pytest.raises(SchemaMismatchError) as raised:
+            router.apply(state)
+        assert str(raised.value) == message
+        assert router._lowerings == {}
+    with pytest.raises(SchemaMismatchError) as raised:
+        element_to_dense(router, state.schema)
+    assert str(raised.value) == message
+    assert router._lowerings == {}
+
+
 def test_both_routes_reject_a_bad_image_off_the_support():
     """A bad image is a bad element even where the state holds no amplitude:
     each route, on a fresh element, raises the same error."""
@@ -943,15 +974,14 @@ def test_exactly_the_signed_permutations_skip_the_norm_step(kind, monkeypatch):
     for still in (PolarizationRotation("A", 0.0), UnbalancedSplitter("A", ("a1", "a2"), math.pi)):
         assert still.lowering(two_path_state({(("H", "a1"), ("H",)): 1.0}).schema).relabeling is None
     target = make_target(params, kind)
-    strings = all_pauli_strings(tuple(r.name for r in target.schema.photon_b))
-    assert len(strings) == 16
+    corrections = all_pauli_strings(tuple(r.name for r in target.schema.photon_b))
+    assert len(corrections) == 16
     for report in run_protocol(kind, params):
-        for string in strings:
-            op = string.receiver_op
-            assert op.lowering(report.bob_state_pre.schema).relabeling is not None, string
+        for op in corrections:
+            assert op.lowering(report.bob_state_pre.schema).relabeling is not None, op
             before = len(settled)
             op.apply(report.bob_state_pre)
-            assert len(settled) == before, string
+            assert len(settled) == before, op
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from conftest import (
 )
 from hyper_rsp import protocols
 from hyper_rsp.cli import verify_report
-from hyper_rsp.elements import PauliString, all_pauli_strings
+from hyper_rsp.elements import PauliOp, all_pauli_strings
 from hyper_rsp.protocols import (
     CorrectionNotFoundError,
     build_circuit,
@@ -428,7 +428,7 @@ PAPER_TABLE = {
     ],
 )
 def test_correction_table_entries(kind, outcome, expected):
-    assert correction_table(kind, outcome) == PauliString(expected)
+    assert correction_table(kind, outcome) == PauliOp("B", expected)
 
 
 def test_correction_table_unknown_outcome():
@@ -457,7 +457,7 @@ def test_search_reports_degeneracy():
 def test_search_identity_among_matches_for_matching_state(generic_params):
     target = make_target(generic_params, PF)
     search = derive_correction(target, target)
-    identity = PauliString((("pol", "I"), ("freq", "I")))
+    identity = PauliOp("B", (("pol", "I"), ("freq", "I")))
     assert identity in search.matches
 
 

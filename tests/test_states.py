@@ -262,6 +262,13 @@ def test_register_rejects_duplicates():
         Register("path", ("a1", "a1"))
 
 
+@pytest.mark.parametrize("values", [(False, True), (0, True), (-1, 0), (0, 1.0)])
+def test_time_register_takes_only_non_negative_int_delays(values):
+    with pytest.raises(ValueError, match="^time-bin delays must be non-negative integers$"):
+        time_register(values)
+    assert time_register((0, 1)).values == (0, 1)
+
+
 def test_canonical_label_order():
     schema = Schema((pol_register(),), (freq_register(),))
     assert schema.labels() == [
