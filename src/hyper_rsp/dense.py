@@ -16,11 +16,16 @@ Every element takes one route.  Its :class:`~hyper_rsp.elements.Pattern`, filled
 over every ket of the photon's layout when the element is lowered (the sparse
 route reads the same slots), keeps the domain and the (row, col, weight slot)
 cells, once per fixed optic or rotation shape and schema.  The dense view
-(read-only matrix, domain positions and out-of-domain mask, isometry defect) is
-built on first request and kept on the element's one
+(read-only matrix, domain positions, out-of-domain mask and rows, isometry
+defect) is built on first request and kept on the element's one
 :class:`~hyper_rsp.elements.Lowering` per schema: the pattern's cells weighed by
 the element's own ``weights``.  Nothing goes stale: elements are
 frozen and ``ket_slots`` is a pure function of (element, layout).
+
+Most stages' domain is the photon's whole layout; they keep no out-of-domain
+rows, and :func:`apply_dense` multiplies the grid as it is.  On a partial domain
+it reads the out-of-domain rows, takes their largest magnitude only when one is
+non-zero, and multiplies the domain rows.
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so importing this module does not load it.
@@ -52,8 +57,9 @@ def state_to_vector(state: StateVector) -> np.ndarray:
 
 
 def _index(pattern: Pattern) -> tuple:
-    """``pattern``'s slots as dense arrays: domain kets, read-only positions and
-    mask, matrix shape, (rows, cols) cells and weight slots."""
+    """``pattern``'s slots as dense arrays: domain kets, read-only positions, mask
+    and out-of-domain rows (``None`` for a whole domain), matrix shape, (rows,
+    cols) cells and weight slots."""
     import numpy as np
 
     layout, memo = pattern.layout, pattern.slots
@@ -65,9 +71,12 @@ def _index(pattern: Pattern) -> tuple:
     positions = np.array([layout.index[ket] for ket in in_kets], dtype=np.intp)
     outside = np.ones(len(layout.kets), dtype=bool)
     outside[positions] = False
-    for array in (positions, outside):
-        array.flags.writeable = False
-    return in_kets, positions, outside, (len(out_index), len(in_kets)), (rows, cols), slots
+    outside_rows = np.flatnonzero(outside) if len(in_kets) < len(layout.kets) else None
+    for array in (positions, outside, outside_rows):
+        if array is not None:
+            array.flags.writeable = False
+    domain = in_kets, positions, outside, outside_rows
+    return domain, (len(out_index), len(in_kets)), (rows, cols), slots
 
 
 def element_to_dense(element: Element, schema: Schema) -> Lowering:
@@ -88,15 +97,17 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
         if all(slots is None for slots in pattern.slots.values()):
             raise CorrelationError(f"{type(element).__name__}: the element's domain is empty")
         pattern.cells = _index(pattern)
-    *domain, shape, cells, slots = pattern.cells
-    lowering.in_kets, lowering.positions, lowering.outside = domain
+    domain, shape, cells, slots = pattern.cells
+    lowering.in_kets, lowering.positions, lowering.outside, lowering.outside_rows = domain
     matrix = np.zeros(shape, dtype=complex)
     # onto complex zeros in image order, as entry-by-entry += would: 0j + −0.0 is 0.0
     np.add.at(matrix, cells, np.array(element.weights)[slots])
     matrix.flags.writeable = False
-    # max |M†M − I| is the isometry defect; the matrix goes last, as it marks the view built
+    # max |M†M − I| is the isometry defect, with I taken off the Gram's diagonal in
+    # place; the matrix goes last, as it marks the view built
     gram = matrix.conj().T @ matrix
-    lowering.defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    gram.flat[:: shape[1] + 1] -= 1
+    lowering.defect = float(np.max(np.abs(gram)))
     lowering.matrix = matrix
     return lowering
 
@@ -120,10 +131,13 @@ def apply_dense(element: Element, vec: np.ndarray, schema: Schema) -> tuple[np.n
     grid = vec.reshape(len(schema.layout("A").kets), -1)
     if element.photon == "B":
         grid = grid.T
-    stray = np.abs(grid[dense.outside])
-    if stray.size and stray.max() > SUPPORT_TOL:
-        raise ValueError("state has amplitude outside the element's legal domain")
-    out = dense.matrix @ grid[dense.positions]
+    if dense.outside_rows is None:  # a whole domain: the grid is the domain's rows
+        out = dense.matrix @ grid
+    else:
+        stray = grid[dense.outside_rows]
+        if stray.any() and np.abs(stray).max() > SUPPORT_TOL:
+            raise ValueError("state has amplitude outside the element's legal domain")
+        out = dense.matrix @ grid[dense.positions]
     if element.photon == "B":
         out = out.T
     return out.reshape(-1), dense.out_schema

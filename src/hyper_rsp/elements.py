@@ -13,15 +13,21 @@ the 50:50 splitter, ±1 for a Pauli) and keeps its own pattern; a rotation's ang
 lives only in its weights, so one pattern serves every angle of its shape.  Each
 element keeps one :class:`Lowering` per schema, wrapping its pattern, in one
 instance-``__dict__`` entry, so :meth:`Element.apply` weighs the kept slots and
-hands its labels to the norm step unchecked.  Most optics only relabel: when
-lowered, a map whose domain kets each have one image, no two the same over the
-whole layout, and whose weights are ±1 is flagged a signed permutation, from its
-slots and weights alone.  A flagged lowering's ``apply`` writes each support
+hands its labels to the norm step unchecked.  ``apply`` reads each two-photon
+support label's images from a table filled the first time the label is seen,
+from its photon's ket slots: a label outside the domain raises and is never
+kept, so a table holds at most one entry per label of its schema.  Most optics
+only relabel: when lowered, a map whose domain kets each have one image, no two
+the same over the whole layout, and whose weights are ±1 is flagged a signed
+permutation, from its slots and weights alone.  A flagged lowering keeps its own
+label → (image label, weight) table, and its ``apply`` writes each support
 label's image in one pass and skips the norm step: a sign flip keeps each
 amplitude's magnitude and distinct images keep every amplitude and its order, so
 the prune test and the in-order norm² (within ``NORM_TOL`` of one) are exactly
-the input's, which passed them when it was built.  Elements are frozen and every
-hook is pure, so nothing goes stale.  The same patterns feed the dense matrix route in
+the input's, which passed them when it was built.  Any other map's label →
+((image label, slot), …) table is kept on its pattern, so one table serves every
+angle of a rotation shape.  Elements are frozen and every hook is pure, so
+nothing goes stale.  The same patterns feed the dense matrix route in
 :mod:`hyper_rsp.dense`, which independently checks unitarity and matrix-vector
 equivalence.
 
@@ -93,10 +99,12 @@ class Pattern:
     ket → ``slots`` map ((image, weight slot) pairs, ``None`` outside the domain)
     over every ket of the layout, each image checked against the output layout: a
     bad one raises :class:`SchemaMismatchError` and no pattern is built.
-    :func:`hyper_rsp.dense.element_to_dense` adds its dense index, ``cells``, on
-    request."""
+    :meth:`Element.apply` fills ``label_slots``, the two-photon label → ((image
+    label, weight slot), …) table, one support label at a time, so one table
+    serves every angle of a rotation shape.  :func:`hyper_rsp.dense.element_to_dense`
+    adds its dense index, ``cells``, on request."""
 
-    __slots__ = ("layout", "out_schema", "slots", "cells")
+    __slots__ = ("layout", "out_schema", "slots", "label_slots", "cells")
 
     def __init__(self, element: Element, layout: Layout, out_schema: Schema):
         out_layout = out_schema.layout(layout.photon)
@@ -105,41 +113,41 @@ class Pattern:
             slots[ket] = element.ket_slots(ket, layout)
             for image, _ in slots[ket] or ():
                 out_layout.validate_ket(image)
-        self.layout, self.out_schema, self.slots, self.cells = layout, out_schema, slots, None
+        self.layout, self.out_schema, self.slots = layout, out_schema, slots
+        self.label_slots, self.cells = {}, None
 
 
 class Lowering:
     """One element's lowering on one schema: its ``pattern`` and ``out_schema``, its
-    ``relabeling`` (see :func:`_relabeling`), and the dense view (``matrix``,
-    ``in_kets``, ``positions``, ``outside``, ``defect``) that
+    ``relabeling`` (the label → (image label, weight) table of a signed
+    permutation, see :func:`_signed_permutation`, filled by :meth:`Element.apply`;
+    ``None`` for any other map), and the dense view (``matrix``, ``in_kets``,
+    ``positions``, ``outside``, ``outside_rows``, ``defect``) that
     :func:`hyper_rsp.dense.element_to_dense` adds on request."""
 
     __slots__ = ("pattern", "out_schema", "relabeling", "matrix", "in_kets", "positions",
-                 "outside", "defect")
+                 "outside", "outside_rows", "defect")
 
     def __init__(self, pattern: Pattern, weights: tuple):
         self.pattern, self.out_schema, self.matrix = pattern, pattern.out_schema, None
-        self.relabeling = _relabeling(pattern.slots, weights)
+        self.relabeling = {} if _signed_permutation(pattern.slots, weights) else None
 
 
-def _relabeling(slots: dict, weights: tuple) -> dict | None:
-    """The ket → (image, weight) table (``None`` outside the domain) when the
-    weighted ``slots`` are a signed permutation over the whole layout: each domain
-    ket has one image, no two share one, and each weight is ±1.  Any other map,
-    ``None``."""
-    table, images = {}, set()
-    for ket, kept in slots.items():
+def _signed_permutation(slots: dict, weights: tuple) -> bool:
+    """Whether the weighted ``slots`` are a signed permutation over the whole
+    layout: each domain ket has one image, no two share one, and each weight is
+    ±1."""
+    images = set()
+    for kept in slots.values():
         if kept is None:
-            table[ket] = None
             continue
         if len(kept) != 1:
-            return None
+            return False
         [(image, slot)] = kept
         if weights[slot] not in (1, -1) or image in images:
-            return None
+            return False
         images.add(image)
-        table[ket] = image, weights[slot]
-    return table
+    return True
 
 
 @dataclass(frozen=True)
@@ -151,8 +159,9 @@ class Element:
     :meth:`ket_slots`, which also gets that photon's value tuple (its ket), and
     the coefficients its slots index, :attr:`weights`.  :meth:`apply` and
     :meth:`output_schema`, the only methods that see the two-photon
-    :class:`Schema`, are derived: :meth:`apply` splits each two-photon label once
-    and reassembles it around the image.  Where :meth:`ket_slots` returns
+    :class:`Schema`, are derived: :meth:`apply` sets each image of a label's
+    photon ket back beside the other photon's ket, and keeps the result in a
+    label table (see the module doc).  Where :meth:`ket_slots` returns
     ``None`` the map is not defined: the sparse :meth:`apply` rejects such a
     support ket, and the dense lowering builds its matrix over the kets where it
     is defined.
@@ -216,30 +225,38 @@ class Element:
         lowering = self._lowerings.get(schema)
         if lowering is None:
             lowering = self.lowering(schema)
-        on_a = self.photon == "A"
         acc: dict[Label, complex] = {}
-        relabeling = lowering.relabeling
+        relabeling, weights = lowering.relabeling, self.weights
         if relabeling is not None:
             for label, amp in state.amplitudes.items():
-                ket, rest = label if on_a else label[::-1]
-                kept = relabeling[ket]
+                kept = relabeling.get(label)
                 if kept is None:
-                    raise self._outside(schema, label)
+                    [(image, slot)] = self._label_slots(lowering.pattern, label, schema)
+                    kept = relabeling[label] = image, weights[slot]
                 image, weight = kept
-                acc[(image, rest) if on_a else (rest, image)] = 0j + amp * weight
+                acc[image] = 0j + amp * weight
             # each |amp| kept, in order: the input's prune and norm hold (module doc)
             return StateVector(lowering.out_schema, MappingProxyType(acc))
-        memo, weights = lowering.pattern.slots, self.weights
+        table = lowering.pattern.label_slots
         for label, amp in state.amplitudes.items():
-            ket, rest = label if on_a else label[::-1]
-            slots = memo[ket]
-            if slots is None:
-                raise self._outside(schema, label)
-            for image, slot in slots:
-                new_label = (image, rest) if on_a else (rest, image)
-                acc[new_label] = acc.get(new_label, 0j) + amp * weights[slot]
+            kept = table.get(label)
+            if kept is None:
+                kept = table[label] = self._label_slots(lowering.pattern, label, schema)
+            for image, slot in kept:
+                acc[image] = acc.get(image, 0j) + amp * weights[slot]
         # every label is a checked image beside a label of the input state
         return StateVector.settle(lowering.out_schema, acc)
+
+    def _label_slots(self, pattern: Pattern, label: Label, schema: Schema) -> tuple:
+        """``label``'s (image label, weight slot) pairs: its photon's ket's slots,
+        each image set back beside the other photon's ket.  A ket outside the
+        domain raises :class:`CorrelationError`."""
+        on_a = self.photon == "A"
+        ket, rest = label if on_a else label[::-1]
+        slots = pattern.slots[ket]
+        if slots is None:
+            raise self._outside(schema, label)
+        return tuple(((image, rest) if on_a else (rest, image), slot) for image, slot in slots)
 
     def _outside(self, schema: Schema, label: Label) -> CorrelationError:
         return CorrelationError(

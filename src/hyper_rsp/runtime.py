@@ -131,15 +131,23 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
 
     key = []
     for name, value in (("seed", seed), ("chunk index", chunk_index)):
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        value = _integer(name, value)
         if not 0 <= value < 2**64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
         key.append(value)
     words = _chunk_key_type()(np.array(key, dtype=np.uint64))
     return np.random.Generator(np.random.Philox(words, counter=np.zeros(4, np.uint64)))
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; anything else raises ``ValueError``, a bool too,
+    which ``operator.index`` would take as 0 or 1."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @functools.cache
@@ -200,12 +208,11 @@ def sample_with_loss(
     """
     import numpy as np
 
+    if isinstance(eta_d, (bool, np.bool_)):
+        raise ValueError(f"eta_d must be a number, got {eta_d!r}")
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"detector efficiency must lie in [0, 1], got {eta_d}")
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     sampler = BranchSampler(kind, params)

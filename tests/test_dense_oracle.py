@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from conftest import MEMO_TARGETS, ket_image, target_params
 from hyper_rsp.dense import (
+    SUPPORT_TOL,
     apply_dense,
     element_to_dense,
     evolve_dense,
@@ -454,19 +455,22 @@ def crosscheck(kind, params):
     return max_deviation(sparse, vec), defects
 
 
+_EDGE = math.sqrt(1.0 + 0.99 * PARAM_TOL)
+#: A generic target first, then degenerate ones.
+TARGETS_IN_TURN = (
+    TargetParams.from_angles(0.3, 1.1, 2.0),
+    TargetParams(0.0, 1.0, -1.0, 0.0, 0.0, -1.0),  # every pair on an axis
+    TargetParams(1.0, 0.0, 0.6, 0.8, 0.28, 0.96),  # β = 0
+    TargetParams(_EDGE * math.cos(0.7), _EDGE * math.sin(0.7), 0.6, -0.8, -0.28, 0.96),
+)
+
+
 def test_no_lowering_goes_stale_across_targets():
     """A generic target first, then degenerate ones: every op of the crosscheck
     must read its own rotations, not a lowering left by an earlier target."""
-    edge = math.sqrt(1.0 + 0.99 * PARAM_TOL)
-    targets = [
-        TargetParams.from_angles(0.3, 1.1, 2.0),
-        TargetParams(0.0, 1.0, -1.0, 0.0, 0.0, -1.0),  # every pair on an axis
-        TargetParams(1.0, 0.0, 0.6, 0.8, 0.28, 0.96),  # β = 0
-        TargetParams(edge * math.cos(0.7), edge * math.sin(0.7), 0.6, -0.8, -0.28, 0.96),
-    ]
     for kind, fixed in ((PF, 2), (TB, 15)):
-        first = build_circuit(kind, targets[0])
-        for params in targets:
+        first = build_circuit(kind, TARGETS_IN_TURN[0])
+        for params in TARGETS_IN_TURN:
             deviation, defects = crosscheck(kind, params)
             assert deviation <= 1e-10, (kind, params)
             assert max(defects) < 1e-12, (kind, params)
@@ -474,6 +478,46 @@ def test_no_lowering_goes_stale_across_targets():
             shared = [a is b for a, b in zip(first, circuit)]
             assert shared == [not isinstance(e, ROTATIONS) for e in circuit]
             assert sum(shared) == fixed
+
+
+def test_label_tables_hold_only_their_schemas_labels():
+    """After both circuits at every target, each kept label table (a signed
+    permutation's on its lowering, any other map's on its pattern) holds labels
+    of its input schema only, at most one entry per label."""
+    for kind in (PF, TB):
+        for params in TARGETS_IN_TURN:
+            crosscheck(kind, params)
+            for element in build_circuit(kind, params):
+                for schema, lowering in element._lowerings.items():
+                    tables = [lowering.pattern.label_slots]
+                    if lowering.relabeling is not None:
+                        assert tables[0] == {}, element  # a relabeling keeps one table
+                        tables.append(lowering.relabeling)
+                    for table in tables:
+                        assert set(table) <= set(schema.labels()), element
+                        assert len(table) <= schema.dimension(), element
+
+
+@pytest.mark.parametrize("relabels", [True, False], ids=["lowering", "pattern"])
+def test_an_out_of_domain_label_is_never_kept(relabels):
+    """A label outside the domain raises on every call and enters no table; the
+    support labels met before it keep their entries."""
+    registry = ("a1", "a2", "a3", "a4")
+    state = WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, registry).apply(make_hyper_bell(PF))
+    if relabels:  # frequency anti-correlated with path: (H, w1, a1) is illegal
+        element = FrequencyEraser("A", {p: "w2" if p == "a1" else "w1" for p in registry})
+    else:  # a2 is a fresh output port: (H, w2, a2) is illegal
+        element = BalancedSplitter("A", ("a1", "a3"), ("a2", "a4"))
+    lowering = element.lowering(state.schema)
+    assert (lowering.relabeling is not None) == relabels
+    table = lowering.relabeling if relabels else lowering.pattern.label_slots
+    first, second = list(state.amplitudes)[:2]
+    bad = first if relabels else second
+    for _ in range(2):
+        with pytest.raises(CorrelationError, match="outside the element's legal domain"):
+            element.apply(state)
+        assert bad not in table
+        assert list(table) == ([] if relabels else [first])
 
 
 #: SHA-256 of every stage's dense matrix, domain kets, positions and mask
@@ -501,7 +545,9 @@ def test_every_dense_lowering_is_bit_exact():
 @pytest.mark.parametrize("kind", [PF, TB])
 def test_kept_defect_positions_and_mask(kind):
     """Every element's kept isometry defect is the Gram computation on its kept
-    matrix, and its domain positions and out-of-domain mask are read-only."""
+    matrix, and its domain positions, out-of-domain mask and out-of-domain rows
+    are read-only."""
+    whole = []
     for element, schema in walk_circuit(kind, TargetParams.from_angles(0.3, 1.1, 2.0)):
         dense = element_to_dense(element, schema)
         gram = dense.matrix.conj().T @ dense.matrix
@@ -514,6 +560,42 @@ def test_kept_defect_positions_and_mask(kind):
             assert array.flags.writeable is False
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[-1]
+        # the out-of-domain rows apply_dense reads: none on a whole domain
+        if dense.outside.any():
+            assert dense.outside_rows.tolist() == np.flatnonzero(dense.outside).tolist()
+            assert dense.outside_rows.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                dense.outside_rows[0] = 0
+        else:
+            assert dense.outside_rows is None
+        whole.append(dense.outside_rows is None)
+    # the stages that apply_dense multiplies without a gather
+    assert (sum(whole), len(whole)) == {PF: (3, 4), TB: (11, 18)}[kind]
+
+
+@pytest.mark.parametrize("photon", ["A", "B"])
+def test_a_partial_domain_drops_stray_amplitude_up_to_the_support_tolerance(photon):
+    """On a partial domain, amplitude at an out-of-domain row of at most
+    ``SUPPORT_TOL`` is left out of the product; twice that raises."""
+    router = WavelengthRouter(photon, {"w1": "p1", "w2": "p2"}, ("p1", "p2"))
+    routed = router.apply(make_hyper_bell(PF))
+    eraser = FrequencyEraser(photon, {"p1": "w1", "p2": "w2"})
+    dense = element_to_dense(eraser, routed.schema)
+    assert dense.outside_rows is not None
+    clean = state_to_vector(routed)
+    expected, _ = apply_dense(eraser, clean, routed.schema)
+    grid_shape = (len(routed.schema.layout("A").kets), len(routed.schema.layout("B").kets))
+    row = dense.outside_rows[-1]
+    cell = np.ravel_multi_index((row, 0) if photon == "A" else (0, row), grid_shape)
+    for stray, accepted in ((0.5 * SUPPORT_TOL, True), (2 * SUPPORT_TOL, False)):
+        vec = clean.copy()
+        vec[cell] = stray
+        if accepted:
+            out, _ = apply_dense(eraser, vec, routed.schema)
+            assert np.array_equal(out, expected)
+        else:
+            with pytest.raises(ValueError, match="outside the element's legal domain"):
+                apply_dense(eraser, vec, routed.schema)
 
 
 def test_kept_mask_still_rejects_stray_amplitude():

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import re
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
@@ -303,8 +304,10 @@ def test_sample_with_loss_draws_once_per_chunk_and_only_detected(
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method on this platform")
 def test_a_forked_child_samples_after_its_parent(generic_params):
-    """A child forked after its parent sampled gets the parent's stats; the
-    run left no thread behind to make the fork warn."""
+    """A child forked after its parent sampled gets the parent's stats, and the
+    parent's run leaves no Python thread running.  ``threading.active_count()``
+    counts Python threads only, not those of numpy's BLAS pool, so this does not
+    show that the process is single-threaded when it forks."""
     trials = 3 * CHUNK_TRIALS
     parent = sample_with_loss(PF, generic_params, 0.8, trials, seed=9)
     assert threading.active_count() == 1, threading.enumerate()
@@ -507,3 +510,21 @@ def test_loss_validation(generic_params):
     for trials in (1.5, 16384.5):
         with pytest.raises(ValueError, match=f"trials must be an integer, got {trials}"):
             sample_with_loss(PF, generic_params, eta_d=0.5, trials=trials, seed=1)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_sampling_input(flag, generic_params):
+    """``True`` would be taken as 1 (η_d = 1, one trial, seed 1's stream, Philox
+    key word 1) and ``False`` as 0: each is refused by the argument's name."""
+    for eta_d in (flag, np.bool_(flag)):
+        message = f"^eta_d must be a number, got {re.escape(repr(eta_d))}$"
+        with pytest.raises(ValueError, match=message):
+            sample_with_loss(PF, generic_params, eta_d, 10, 3)
+    with pytest.raises(ValueError, match=f"^trials must be an integer, got {flag}$"):
+        sample_with_loss(PF, generic_params, 0.5, flag, 3)
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {flag}$"):
+        sample_with_loss(PF, generic_params, 0.5, 10, flag)
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {flag}$"):
+        chunk_generator(flag, 0)
+    with pytest.raises(ValueError, match=f"^chunk index must be an integer, got {flag}$"):
+        chunk_generator(0, flag)
