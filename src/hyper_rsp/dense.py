@@ -14,18 +14,18 @@ are the verification currency of the test suite.
 
 Every element takes one route.  Its :class:`~hyper_rsp.elements.Pattern`, filled
 over every ket of the photon's layout when the element is lowered (the sparse
-route reads the same slots), keeps the domain and the (row, col, weight slot)
-cells, once per fixed optic or rotation shape and schema.  The dense view
-(read-only matrix, domain positions, out-of-domain mask and rows, isometry
-defect) is built on first request and kept on the element's one
-:class:`~hyper_rsp.elements.Lowering` per schema: the pattern's cells weighed by
-the element's own ``weights``.  Nothing goes stale: elements are
-frozen and ``ket_slots`` is a pure function of (element, layout).
+route reads the same slots), keeps the dense domain (domain kets, their
+read-only positions and out-of-domain rows) and the (row, col, weight slot)
+cells, once per fixed optic or rotation shape and schema, built on first
+request.  The element's one :class:`~hyper_rsp.elements.Lowering` per schema
+keeps what its own ``weights`` decide: the read-only matrix, the pattern's
+cells weighed by them, and its isometry defect.  Nothing goes stale: elements
+are frozen and ``ket_slots`` is a pure function of (element, layout).
 
-Most stages' domain is the photon's whole layout; they keep no out-of-domain
-rows, and :func:`apply_dense` multiplies the grid as it is.  On a partial domain
-it reads the out-of-domain rows, takes their largest magnitude only when one is
-non-zero, and multiplies the domain rows.
+Most stages' domain is the photon's whole layout; their patterns keep no
+out-of-domain rows, and :func:`apply_dense` multiplies the grid as it is.  On a
+partial domain it reads the out-of-domain rows, takes their largest magnitude
+only when one is non-zero, and multiplies the domain rows.
 
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so importing this module does not load it.
@@ -56,10 +56,12 @@ def state_to_vector(state: StateVector) -> np.ndarray:
     return vec
 
 
-def _index(pattern: Pattern) -> tuple:
-    """``pattern``'s slots as dense arrays: domain kets, read-only positions, mask
-    and out-of-domain rows (``None`` for a whole domain), matrix shape, (rows,
-    cols) cells and weight slots."""
+def _index(pattern: Pattern) -> None:
+    """Keep ``pattern``'s slots as dense arrays on it: the domain kets
+    ``in_kets``, their read-only ``positions`` and out-of-domain rows
+    ``outside_rows`` (``None`` for a whole domain), then ``cells``, the matrix
+    shape, (rows, cols) cells and weight slots, set last as they mark the index
+    built."""
     import numpy as np
 
     layout, memo = pattern.layout, pattern.slots
@@ -69,23 +71,23 @@ def _index(pattern: Pattern) -> tuple:
              for col, ket in enumerate(in_kets) for image, slot in memo[ket]]
     rows, cols, slots = map(np.array, zip(*cells))
     positions = np.array([layout.index[ket] for ket in in_kets], dtype=np.intp)
-    outside = np.ones(len(layout.kets), dtype=bool)
-    outside[positions] = False
-    outside_rows = np.flatnonzero(outside) if len(in_kets) < len(layout.kets) else None
-    for array in (positions, outside, outside_rows):
+    outside = [layout.index[ket] for ket in layout.kets if memo[ket] is None]
+    outside_rows = np.array(outside, dtype=np.intp) if outside else None
+    for array in (positions, outside_rows):
         if array is not None:
             array.flags.writeable = False
-    domain = in_kets, positions, outside, outside_rows
-    return domain, (len(out_index), len(in_kets)), (rows, cols), slots
+    pattern.in_kets, pattern.positions, pattern.outside_rows = in_kets, positions, outside_rows
+    pattern.cells = (len(out_index), len(in_kets)), (rows, cols), slots
 
 
 def element_to_dense(element: Element, schema: Schema) -> Lowering:
     """Lower one element to its matrix over its own photon's domain kets.
 
-    The dense view is built once per element instance and schema and kept on
-    the element's :class:`~hyper_rsp.elements.Lowering`: every later call
-    returns the same lowering, read-only.  An element with no domain kets on
-    ``schema`` raises :class:`~hyper_rsp.elements.CorrelationError`.
+    The matrix is built once per element instance and schema and kept on the
+    element's :class:`~hyper_rsp.elements.Lowering`, the domain once per
+    pattern: every later call returns the same lowering, read-only.  An element
+    with no domain kets on ``schema`` raises
+    :class:`~hyper_rsp.elements.CorrelationError`.
     """
     lowering = element.lowering(schema)
     if lowering.matrix is not None:
@@ -96,9 +98,8 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
     if pattern.cells is None:
         if all(slots is None for slots in pattern.slots.values()):
             raise CorrelationError(f"{type(element).__name__}: the element's domain is empty")
-        pattern.cells = _index(pattern)
-    domain, shape, cells, slots = pattern.cells
-    lowering.in_kets, lowering.positions, lowering.outside, lowering.outside_rows = domain
+        _index(pattern)
+    shape, cells, slots = pattern.cells
     matrix = np.zeros(shape, dtype=complex)
     # onto complex zeros in image order, as entry-by-entry += would: 0j + −0.0 is 0.0
     np.add.at(matrix, cells, np.array(element.weights)[slots])
@@ -128,19 +129,20 @@ def apply_dense(element: Element, vec: np.ndarray, schema: Schema) -> tuple[np.n
     import numpy as np
 
     dense = element_to_dense(element, schema)
+    pattern = dense.pattern
     grid = vec.reshape(len(schema.layout("A").kets), -1)
     if element.photon == "B":
         grid = grid.T
-    if dense.outside_rows is None:  # a whole domain: the grid is the domain's rows
+    if pattern.outside_rows is None:  # a whole domain: the grid is the domain's rows
         out = dense.matrix @ grid
     else:
-        stray = grid[dense.outside_rows]
+        stray = grid[pattern.outside_rows]
         if stray.any() and np.abs(stray).max() > SUPPORT_TOL:
             raise ValueError("state has amplitude outside the element's legal domain")
-        out = dense.matrix @ grid[dense.positions]
+        out = dense.matrix @ grid[pattern.positions]
     if element.photon == "B":
         out = out.T
-    return out.reshape(-1), dense.out_schema
+    return out.reshape(-1), pattern.out_schema
 
 
 def evolve_dense(elements, state: StateVector) -> tuple[np.ndarray, Schema]:

@@ -5,29 +5,30 @@ hooks is handed only that photon's :class:`~hyper_rsp.states.Layout`: ``validate
 checks the registers, ``output_registers`` names them after the element, and
 ``ket_slots`` declares the action per ket (the photon's value tuple) as images,
 each with its slot in the element's ``weights``.  Every element is lowered one
-way, as a :class:`Pattern` weighted by a few coefficients.  The pattern holds the
-validated layout, the output schema and the slots of every ket of the layout,
-filled whole when the element is lowered, each image checked then against the
-output layout.  A fixed optic declares its coefficients exactly (1, ±1/√2 for
-the 50:50 splitter, ±1 for a Pauli) and keeps its own pattern; a rotation's angle
-lives only in its weights, so one pattern serves every angle of its shape.  Each
+way, as a :class:`Pattern` weighted by a few coefficients: the one home of the
+element's structure on one schema, its slots filled over every ket of the layout
+when the element is lowered, each image checked then against the output layout.
+A fixed optic declares its coefficients exactly (1, ±1/√2 for the 50:50
+splitter, ±1 for a Pauli) and keeps its own pattern; a rotation's angle lives
+only in its weights, so one pattern serves every angle of its shape.  Each
 element keeps one :class:`Lowering` per schema, wrapping its pattern, in one
 instance-``__dict__`` entry, so :meth:`Element.apply` weighs the kept slots and
 hands its labels to the norm step unchecked.  ``apply`` reads each two-photon
-support label's images from a table filled the first time the label is seen,
-from its photon's ket slots: a label outside the domain raises and is never
-kept, so a table holds at most one entry per label of its schema.  Most optics
-only relabel: when lowered, a map whose domain kets each have one image, no two
-the same over the whole layout, and whose weights are ±1 is flagged a signed
-permutation, from its slots and weights alone.  A flagged lowering keeps its own
-label → (image label, weight) table, and its ``apply`` writes each support
-label's image in one pass and skips the norm step: a sign flip keeps each
-amplitude's magnitude and distinct images keep every amplitude and its order, so
-the prune test and the in-order norm² (within ``NORM_TOL`` of one) are exactly
-the input's, which passed them when it was built.  Any other map's label →
-((image label, slot), …) table is kept on its pattern, so one table serves every
-angle of a rotation shape.  Elements are frozen and every hook is pure, so
-nothing goes stale.  The same patterns feed the dense matrix route in
+support label's images from the pattern's one table, filled the first time the
+label is seen: a label outside the domain raises and is never kept, so the
+table holds at most one entry per label of its schema.  Most optics only
+relabel: a pattern whose domain kets each have one image, no two the same over
+the whole layout, and whose weights are ±1 is flagged a signed permutation once,
+when it is built.  The weights are those of the element that built it: a fixed
+optic's own, or a rotation's, whose u and v kets have two images at every angle.
+A flagged pattern's table maps label → (image label, weight), and ``apply``
+writes each support label's image in one pass and skips the norm step: a sign
+flip keeps each amplitude's magnitude and distinct images keep every amplitude
+and its order, so the prune test and the in-order norm² (within ``NORM_TOL`` of
+one) are exactly the input's, which passed them when it was built.  Any other
+pattern's table maps label → ((image label, slot), …), so it serves every angle
+of a rotation shape.  Elements are frozen and every hook is pure, so nothing
+goes stale.  The same patterns feed the dense matrix route in
 :mod:`hyper_rsp.dense`, which independently checks unitarity and matrix-vector
 equivalence.
 
@@ -95,16 +96,17 @@ class CorrelationError(ValueError):
 
 class Pattern:
     """An element's structure on one schema, built once ``validate`` passes: the
-    photon's validated ``layout``, the ``out_schema`` after the element and the
-    ket → ``slots`` map ((image, weight slot) pairs, ``None`` outside the domain)
-    over every ket of the layout, each image checked against the output layout: a
-    bad one raises :class:`SchemaMismatchError` and no pattern is built.
-    :meth:`Element.apply` fills ``label_slots``, the two-photon label → ((image
-    label, weight slot), …) table, one support label at a time, so one table
-    serves every angle of a rotation shape.  :func:`hyper_rsp.dense.element_to_dense`
-    adds its dense index, ``cells``, on request."""
+    photon's validated ``layout``, the ``out_schema`` after the element, the ket →
+    ``slots`` map ((image, weight slot) pairs, ``None`` outside the domain) over
+    every ket of the layout, each image checked against the output layout (a bad
+    one raises :class:`SchemaMismatchError` and no pattern is built), the
+    ``relabels`` flag of :func:`_signed_permutation` and the two-photon ``labels``
+    table that :meth:`Element.apply` fills (see the module doc).
+    :func:`hyper_rsp.dense.element_to_dense` adds the dense domain (``in_kets``,
+    ``positions``, ``outside_rows``) and ``cells``."""
 
-    __slots__ = ("layout", "out_schema", "slots", "label_slots", "cells")
+    __slots__ = ("layout", "out_schema", "slots", "relabels", "labels",
+                 "in_kets", "positions", "outside_rows", "cells")
 
     def __init__(self, element: Element, layout: Layout, out_schema: Schema):
         out_layout = out_schema.layout(layout.photon)
@@ -114,23 +116,19 @@ class Pattern:
             for image, _ in slots[ket] or ():
                 out_layout.validate_ket(image)
         self.layout, self.out_schema, self.slots = layout, out_schema, slots
-        self.label_slots, self.cells = {}, None
+        self.relabels = _signed_permutation(slots, element.weights)
+        self.labels, self.cells = {}, None
 
 
 class Lowering:
-    """One element's lowering on one schema: its ``pattern`` and ``out_schema``, its
-    ``relabeling`` (the label → (image label, weight) table of a signed
-    permutation, see :func:`_signed_permutation`, filled by :meth:`Element.apply`;
-    ``None`` for any other map), and the dense view (``matrix``, ``in_kets``,
-    ``positions``, ``outside``, ``outside_rows``, ``defect``) that
-    :func:`hyper_rsp.dense.element_to_dense` adds on request."""
+    """One element's lowering on one schema: its ``pattern``, and what the
+    element's weights decide on it, the read-only ``matrix`` and its isometry
+    ``defect``, that :func:`hyper_rsp.dense.element_to_dense` adds on request."""
 
-    __slots__ = ("pattern", "out_schema", "relabeling", "matrix", "in_kets", "positions",
-                 "outside", "outside_rows", "defect")
+    __slots__ = ("pattern", "matrix", "defect")
 
-    def __init__(self, pattern: Pattern, weights: tuple):
-        self.pattern, self.out_schema, self.matrix = pattern, pattern.out_schema, None
-        self.relabeling = {} if _signed_permutation(pattern.slots, weights) else None
+    def __init__(self, pattern: Pattern):
+        self.pattern, self.matrix = pattern, None
 
 
 def _signed_permutation(slots: dict, weights: tuple) -> bool:
@@ -217,7 +215,7 @@ class Element:
                 layout = schema.layout(self.photon)
                 self.validate(layout)
                 pattern = patterns[key] = Pattern(self, layout, self.output_schema(schema))
-            lowering = self._lowerings[schema] = Lowering(pattern, self.weights)
+            lowering = self._lowerings[schema] = Lowering(pattern)
         return lowering
 
     def apply(self, state: StateVector) -> StateVector:
@@ -226,26 +224,26 @@ class Element:
         if lowering is None:
             lowering = self.lowering(schema)
         acc: dict[Label, complex] = {}
-        relabeling, weights = lowering.relabeling, self.weights
-        if relabeling is not None:
+        pattern, weights = lowering.pattern, self.weights
+        table = pattern.labels
+        if pattern.relabels:
             for label, amp in state.amplitudes.items():
-                kept = relabeling.get(label)
+                kept = table.get(label)
                 if kept is None:
-                    [(image, slot)] = self._label_slots(lowering.pattern, label, schema)
-                    kept = relabeling[label] = image, weights[slot]
+                    [(image, slot)] = self._label_slots(pattern, label, schema)
+                    kept = table[label] = image, weights[slot]
                 image, weight = kept
                 acc[image] = 0j + amp * weight
             # each |amp| kept, in order: the input's prune and norm hold (module doc)
-            return StateVector(lowering.out_schema, MappingProxyType(acc))
-        table = lowering.pattern.label_slots
+            return StateVector(pattern.out_schema, MappingProxyType(acc))
         for label, amp in state.amplitudes.items():
             kept = table.get(label)
             if kept is None:
-                kept = table[label] = self._label_slots(lowering.pattern, label, schema)
+                kept = table[label] = self._label_slots(pattern, label, schema)
             for image, slot in kept:
                 acc[image] = acc.get(image, 0j) + amp * weights[slot]
         # every label is a checked image beside a label of the input state
-        return StateVector.settle(lowering.out_schema, acc)
+        return StateVector.settle(pattern.out_schema, acc)
 
     def _label_slots(self, pattern: Pattern, label: Label, schema: Schema) -> tuple:
         """``label``'s (image label, weight slot) pairs: its photon's ket's slots,
@@ -342,34 +340,6 @@ class UnbalancedSplitter(Rotation):
 
 
 @dataclass(frozen=True)
-class WavelengthRouter(Element):
-    """Frequency-keyed path entry: |ω_i⟩ picks up the path assigned to ω_i.
-
-    Adds the path register (declared registry) to the photon; amplitudes are
-    untouched, so this is a pure relabeling.
-    """
-
-    routing: Mapping[str, str]
-    registry: tuple[str, ...]
-
-    def validate(self, layout: Layout) -> None:
-        freq = layout.register("freq")
-        if "path" in layout.positions:
-            raise SchemaMismatchError("path register already present before routing")
-        missing = [f for f in freq.values if f not in self.routing]
-        if missing:
-            raise ValueError(f"routing does not cover frequencies {missing}")
-        for f in self.routing:
-            freq.index(f)
-
-    def output_registers(self, layout):
-        return layout.registers + (path_register(self.registry),)
-
-    def ket_slots(self, ket, layout):
-        return [(ket + (self.routing[ket[layout.positions["freq"]]],), 0)]
-
-
-@dataclass(frozen=True)
 class FrequencyEraser(Element):
     """Frequency conversion to a common mode, erasing which-path frequency marks.
 
@@ -402,43 +372,44 @@ class FrequencyEraser(Element):
 
 
 @dataclass(frozen=True)
-class PolarizingRouter(Element):
-    """Polarizing beam splitter as a (polarization, input path) -> output path table.
-
-    With ``registry`` set, the router is the circuit's entry point: the photon
-    has no path register yet, routing keys are bare polarizations, and the
-    declared path register is added to the schema.  Paths absent from the
-    table pass through unchanged.
-    """
+class _Router(Element):
+    """The one path-routing rule, keyed on the register its class names in
+    ``key``: a (``key`` value, input path) -> output path table; paths absent
+    from it pass through unchanged.  With ``registry`` set, the router is the
+    circuit's entry point: the photon has no path register yet, routing keys are
+    bare ``key`` values, and the declared path register is added to the schema."""
 
     routing: Mapping
     registry: tuple[str, ...] | None = None
+
+    #: The name of the register whose value picks the path.
+    key: ClassVar[str]
 
     def _entry(self) -> bool:
         return self.registry is not None
 
     def validate(self, layout: Layout) -> None:
-        pol = layout.register("pol")
+        keyed = layout.register(self.key)
         if self._entry():
             if "path" in layout.positions:
                 raise SchemaMismatchError("path register already present before routing")
-            missing = [p for p in pol.values if p not in self.routing]
+            missing = [value for value in keyed.values if value not in self.routing]
             if missing:
-                raise ValueError(f"entry routing does not cover polarizations {missing}")
-            for p in self.routing:
-                pol.index(p)
+                raise ValueError(f"entry routing does not cover {self.key} values {missing}")
+            for value in self.routing:
+                keyed.index(value)
             return
         path = layout.register("path")
         if len(self._images) != len(self.routing):
-            raise ValueError("routing sends two inputs of one polarization to the same path")
-        for pol_value, p in self.routing:
-            pol.index(pol_value)
+            raise ValueError(f"routing sends two inputs of one {self.key} value to the same path")
+        for value, p in self.routing:
+            keyed.index(value)
             path.index(p)
-            for other in pol.values:
+            for other in keyed.values:
                 if (other, p) not in self.routing:
                     raise ValueError(
-                        f"routing table misses ({other!r}, {p!r}); both polarizations "
-                        "must be covered for every input path"
+                        f"routing table misses ({other!r}, {p!r}); every {self.key} "
+                        "value must be covered for every input path"
                     )
 
     def output_registers(self, layout):
@@ -448,20 +419,39 @@ class PolarizingRouter(Element):
 
     @functools.cached_property
     def _images(self) -> frozenset[tuple[str, str]]:
-        """The (polarization, path) pairs the routed inputs are sent to."""
-        return frozenset((pol, target) for (pol, _), target in self.routing.items())
+        """The (``key`` value, path) pairs the routed inputs are sent to."""
+        return frozenset((value, target) for (value, _), target in self.routing.items())
 
     def ket_slots(self, ket, layout):
-        pol = ket[layout.positions["pol"]]
+        value = ket[layout.positions[self.key]]
         if self._entry():
-            return [(ket + (self.routing[pol],), 0)]
+            return [(ket + (self.routing[value],), 0)]
         i_path = layout.positions["path"]
-        key = (pol, ket[i_path])
-        if key in self.routing:
-            return [(_with(ket, i_path, self.routing[key]), 0)]
-        if key in self._images:  # an unused input port a routed input is sent to
+        port = (value, ket[i_path])
+        if port in self.routing:
+            return [(_with(ket, i_path, self.routing[port]), 0)]
+        if port in self._images:  # an unused input port a routed input is sent to
             return None
         return [(ket, 0)]
+
+
+@dataclass(frozen=True)
+class WavelengthRouter(_Router):
+    """Frequency-keyed path entry: |ω_i⟩ picks up the path assigned to ω_i in
+    the declared ``registry``, added to the photon; a pure relabeling."""
+
+    # field(): without it the base's ``registry = None`` would become a default.
+    registry: tuple[str, ...] = field()
+
+    key = "freq"
+
+
+@dataclass(frozen=True)
+class PolarizingRouter(_Router):
+    """Polarizing beam splitter as a (polarization, input path) -> output path
+    table, or with ``registry`` set the polarization-keyed path entry."""
+
+    key = "pol"
 
 
 @dataclass(frozen=True)

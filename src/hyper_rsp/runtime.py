@@ -93,9 +93,10 @@ def encode_outcome(kind: ProtocolKind, outcome: Outcome) -> ChannelMessage:
 
 def decode_outcome(message: ChannelMessage) -> Outcome:
     registry = outcome_registry(message.protocol)
-    if not 0 <= message.outcome_code < len(registry):
-        raise ValueError(f"outcome code {message.outcome_code} out of range")
-    return registry[message.outcome_code]
+    code = _integer("outcome code", message.outcome_code)
+    if not 0 <= code < len(registry):
+        raise ValueError(f"outcome code {code} out of range")
+    return registry[code]
 
 
 def message_to_bytes(message: ChannelMessage) -> bytes:
@@ -105,7 +106,8 @@ def message_to_bytes(message: ChannelMessage) -> bytes:
         protocol_code = PROTOCOL_CODES[message.protocol]
     except KeyError:
         raise unknown_protocol(message.protocol) from None
-    frame = bytes((message.version, protocol_code, message.outcome_code))
+    version = _integer("wire version", message.version)
+    frame = bytes((version, protocol_code, _integer("outcome code", message.outcome_code)))
     message_from_bytes(frame)
     return frame
 

@@ -26,6 +26,7 @@ photon-A ket once, on its first projection, for every outcome after it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
@@ -65,7 +66,7 @@ class ProtocolKind(Enum):
     def parse(cls, text: str) -> "ProtocolKind":
         try:
             return cls(text.lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # AttributeError: ``text`` is no string
             raise ValueError(f"unknown protocol {text!r}; expected 'pf' or 'tb'") from None
 
 
@@ -331,7 +332,8 @@ class TargetParams:
     Each pair weights the two values of the register named for it in ``PAIRS``:
     (alpha0, beta0) H/V polarization, (alpha1, beta1) the two frequency modes,
     and (alpha2, beta2) the early/late time bins.  Each pair must sit on the
-    unit circle within ``PARAM_TOL``; all six values lie in [-1, 1].
+    unit circle within ``PARAM_TOL``; all six values are real numbers, not
+    bools, in [-1, 1].
     """
 
     alpha0: float
@@ -349,9 +351,12 @@ class TargetParams:
     })
 
     def __post_init__(self) -> None:
-        for name in self.PAIRS:
+        for name, fields in self.PAIRS.items():
             alpha, beta = self.pair(name)
-            for v in (alpha, beta):
+            for field_name, v in zip(fields, (alpha, beta)):
+                # a bool would pass as 0 or 1; a numpy bool is no Real
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{field_name} must be a real number, got {v!r}")
                 if not -1.0 <= v <= 1.0:
                     raise ValueError(f"{name} coefficient {v!r} outside [-1, 1]")
             r = alpha * alpha + beta * beta

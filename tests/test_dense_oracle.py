@@ -259,14 +259,14 @@ def assert_factor_is_exact(element, schema):
     if element.photon == "A":
         others = schema.layout("B").kets
         embedded = np.kron(dense.matrix, np.eye(len(others)))
-        domain = [(a, b) for a in dense.in_kets for b in others]
+        domain = [(a, b) for a in dense.pattern.in_kets for b in others]
     else:
         others = schema.layout("A").kets
         embedded = np.kron(np.eye(len(others)), dense.matrix)
-        domain = [(a, b) for a in others for b in dense.in_kets]
+        domain = [(a, b) for a in others for b in dense.pattern.in_kets]
     assert domain == reference_domain, element
     assert np.array_equal(embedded, reference), element
-    assert dense.out_schema == element.output_schema(schema)
+    assert dense.pattern.out_schema == element.output_schema(schema)
     gram = reference.conj().T @ reference
     reference_defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     assert abs(unitarity_defect(element, schema) - reference_defect) <= 1e-14, element
@@ -290,7 +290,7 @@ def test_pockels_cell_is_a_half_wave_plate_switched_on_in_one_bin():
         plate = element_to_dense(HalfWavePlate("A", paths), schema)
         for t in layout.register("time").values:
             cell = element_to_dense(PockelsCell("A", paths, t), schema)
-            assert cell.in_kets == plate.in_kets == tuple(layout.kets)
+            assert cell.pattern.in_kets == plate.pattern.in_kets == tuple(layout.kets)
             for j, ket in enumerate(layout.kets):
                 expected = plate.matrix[:, j] if ket[i_time] == t else identity[:, j]
                 assert np.array_equal(cell.matrix[:, j], expected), (paths, t, ket)
@@ -332,7 +332,7 @@ def test_both_routes_reject_exactly_where_the_ket_map_is_undefined(kind, photon)
     element, schema = KeepV(photon), hyper_bell_schema(kind)
     layout = schema.layout(photon)
     defined = tuple(ket for ket in layout.kets if ket[layout.positions["pol"]] == "V")
-    assert element_to_dense(element, schema).in_kets == defined
+    assert element_to_dense(element, schema).pattern.in_kets == defined
     basis = np.eye(schema.dimension())
     for i, label in enumerate(schema.labels()):
         state = StateVector.build(schema, {label: 1.0})
@@ -433,7 +433,7 @@ def test_each_lowering_is_built_once_and_read_only():
     other = element_to_dense(plate, timed)
     assert other is not dense and other.matrix.shape != dense.matrix.shape
     assert element_to_dense(plate, timed) is other
-    assert isinstance(dense.in_kets, tuple)
+    assert isinstance(dense.pattern.in_kets, tuple)
     with pytest.raises(ValueError, match="read-only"):
         dense.matrix[0, 0] = 1.0
 
@@ -481,21 +481,26 @@ def test_no_lowering_goes_stale_across_targets():
 
 
 def test_label_tables_hold_only_their_schemas_labels():
-    """After both circuits at every target, each kept label table (a signed
-    permutation's on its lowering, any other map's on its pattern) holds labels
-    of its input schema only, at most one entry per label."""
+    """After both circuits at every target, each pattern's one label table holds
+    labels of its input schema only, at most one entry per label, each kept in
+    its pattern's form: one (image, weight) pair on a signed permutation, (image,
+    weight slot) pairs on any other map, every image a label of the output schema."""
     for kind in (PF, TB):
         for params in TARGETS_IN_TURN:
             crosscheck(kind, params)
             for element in build_circuit(kind, params):
                 for schema, lowering in element._lowerings.items():
-                    tables = [lowering.pattern.label_slots]
-                    if lowering.relabeling is not None:
-                        assert tables[0] == {}, element  # a relabeling keeps one table
-                        tables.append(lowering.relabeling)
-                    for table in tables:
-                        assert set(table) <= set(schema.labels()), element
-                        assert len(table) <= schema.dimension(), element
+                    pattern = lowering.pattern
+                    table, images = pattern.labels, set(pattern.out_schema.labels())
+                    assert set(table) <= set(schema.labels()), element
+                    assert len(table) <= schema.dimension(), element
+                    for kept in table.values():
+                        if pattern.relabels:
+                            image, weight = kept
+                            assert weight in element.weights, element
+                            kept = [(image, element.weights.index(weight))]
+                        for image, slot in kept:
+                            assert image in images and type(slot) is int, element
 
 
 @pytest.mark.parametrize("relabels", [True, False], ids=["lowering", "pattern"])
@@ -508,9 +513,9 @@ def test_an_out_of_domain_label_is_never_kept(relabels):
         element = FrequencyEraser("A", {p: "w2" if p == "a1" else "w1" for p in registry})
     else:  # a2 is a fresh output port: (H, w2, a2) is illegal
         element = BalancedSplitter("A", ("a1", "a3"), ("a2", "a4"))
-    lowering = element.lowering(state.schema)
-    assert (lowering.relabeling is not None) == relabels
-    table = lowering.relabeling if relabels else lowering.pattern.label_slots
+    pattern = element.lowering(state.schema).pattern
+    assert pattern.relabels == relabels
+    table = pattern.labels
     first, second = list(state.amplitudes)[:2]
     bad = first if relabels else second
     for _ in range(2):
@@ -520,7 +525,7 @@ def test_an_out_of_domain_label_is_never_kept(relabels):
         assert list(table) == ([] if relabels else [first])
 
 
-#: SHA-256 of every stage's dense matrix, domain kets, positions and mask
+#: SHA-256 of every stage's dense matrix, domain kets, positions and out-of-domain mask
 DENSE_EXACT_DIGEST = Path(__file__).parent / "golden" / "dense_exact.sha256"
 
 
@@ -528,6 +533,7 @@ def test_every_dense_lowering_is_bit_exact():
     """Each stage's matrix bytes and domain arrays, for both protocols at
     MEMO_TARGETS and at a target whose β are all −0.0, hashed: a fill that
     writes −0.0 where accumulation onto 0j writes 0.0 moves the digest.  The
+    out-of-domain mask is derived from the positions and the layout size.  The
     defect and evolved vectors come from BLAS, whose bits depend on its
     kernel, so they are left out."""
     digest = hashlib.sha256()
@@ -535,40 +541,42 @@ def test_every_dense_lowering_is_bit_exact():
         for params in MEMO_TARGETS + (TargetParams(1.0, -0.0, 1.0, -0.0, 1.0, -0.0),):
             for element, schema in walk_circuit(kind, params):
                 dense = element_to_dense(element, schema)
+                pattern = dense.pattern
+                outside = np.ones(len(schema.layout(element.photon).kets), dtype=bool)
+                outside[pattern.positions] = False
                 digest.update(dense.matrix.tobytes())
-                digest.update(repr(dense.in_kets).encode())
-                digest.update(dense.positions.tobytes())
-                digest.update(dense.outside.tobytes())
+                digest.update(repr(pattern.in_kets).encode())
+                digest.update(pattern.positions.tobytes())
+                digest.update(outside.tobytes())
     assert digest.hexdigest() == DENSE_EXACT_DIGEST.read_text().strip()
 
 
 @pytest.mark.parametrize("kind", [PF, TB])
-def test_kept_defect_positions_and_mask(kind):
+def test_kept_defect_positions_and_outside_rows(kind):
     """Every element's kept isometry defect is the Gram computation on its kept
-    matrix, and its domain positions, out-of-domain mask and out-of-domain rows
-    are read-only."""
+    matrix, and its pattern's domain positions and out-of-domain rows are
+    read-only and split the layout's rows between them."""
     whole = []
     for element, schema in walk_circuit(kind, TargetParams.from_angles(0.3, 1.1, 2.0)):
         dense = element_to_dense(element, schema)
         gram = dense.matrix.conj().T @ dense.matrix
         assert dense.defect == float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
         assert unitarity_defect(element, schema) == dense.defect
-        index = schema.layout(element.photon).index
-        assert dense.positions.tolist() == [index[ket] for ket in dense.in_kets]
-        assert np.flatnonzero(~dense.outside).tolist() == dense.positions.tolist()
-        for array in (dense.positions, dense.outside):
-            assert array.flags.writeable is False
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[-1]
+        pattern, index = dense.pattern, schema.layout(element.photon).index
+        assert pattern.positions.tolist() == [index[ket] for ket in pattern.in_kets]
+        assert pattern.positions.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            pattern.positions[0] = pattern.positions[-1]
         # the out-of-domain rows apply_dense reads: none on a whole domain
-        if dense.outside.any():
-            assert dense.outside_rows.tolist() == np.flatnonzero(dense.outside).tolist()
-            assert dense.outside_rows.flags.writeable is False
+        outside = [i for ket, i in index.items() if ket not in pattern.in_kets]
+        if outside:
+            assert pattern.outside_rows.tolist() == outside
+            assert pattern.outside_rows.flags.writeable is False
             with pytest.raises(ValueError, match="read-only"):
-                dense.outside_rows[0] = 0
+                pattern.outside_rows[0] = 0
         else:
-            assert dense.outside_rows is None
-        whole.append(dense.outside_rows is None)
+            assert pattern.outside_rows is None
+        whole.append(pattern.outside_rows is None)
     # the stages that apply_dense multiplies without a gather
     assert (sum(whole), len(whole)) == {PF: (3, 4), TB: (11, 18)}[kind]
 
@@ -580,12 +588,12 @@ def test_a_partial_domain_drops_stray_amplitude_up_to_the_support_tolerance(phot
     router = WavelengthRouter(photon, {"w1": "p1", "w2": "p2"}, ("p1", "p2"))
     routed = router.apply(make_hyper_bell(PF))
     eraser = FrequencyEraser(photon, {"p1": "w1", "p2": "w2"})
-    dense = element_to_dense(eraser, routed.schema)
-    assert dense.outside_rows is not None
+    outside_rows = element_to_dense(eraser, routed.schema).pattern.outside_rows
+    assert outside_rows is not None
     clean = state_to_vector(routed)
     expected, _ = apply_dense(eraser, clean, routed.schema)
     grid_shape = (len(routed.schema.layout("A").kets), len(routed.schema.layout("B").kets))
-    row = dense.outside_rows[-1]
+    row = outside_rows[-1]
     cell = np.ravel_multi_index((row, 0) if photon == "A" else (0, row), grid_shape)
     for stray, accepted in ((0.5 * SUPPORT_TOL, True), (2 * SUPPORT_TOL, False)):
         vec = clean.copy()
@@ -598,13 +606,13 @@ def test_a_partial_domain_drops_stray_amplitude_up_to_the_support_tolerance(phot
                 apply_dense(eraser, vec, routed.schema)
 
 
-def test_kept_mask_still_rejects_stray_amplitude():
+def test_kept_outside_rows_still_reject_stray_amplitude():
     routed = WavelengthRouter("A", {"w1": "a1", "w2": "a2"}, ("a1", "a2")).apply(
         make_hyper_bell(PF)
     )
     bad = FrequencyEraser("A", {"a1": "w2", "a2": "w1"})
-    assert element_to_dense(bad, routed.schema).outside.any()
-    for _ in range(2):  # the mask is read from the kept lowering both times
+    assert element_to_dense(bad, routed.schema).pattern.outside_rows is not None
+    for _ in range(2):  # the rows are read from the kept pattern both times
         with pytest.raises(ValueError, match="outside the element's legal domain"):
             apply_dense(bad, state_to_vector(routed), routed.schema)
 

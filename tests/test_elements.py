@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import MEMO_TARGETS, angles, assert_amplitudes_equal, ket_image, target_params
-from hyper_rsp import protocols
+from hyper_rsp import elements, protocols
 from hyper_rsp.dense import apply_dense, element_to_dense, state_to_vector
 from hyper_rsp.elements import (
     BalancedSplitter,
@@ -803,6 +803,45 @@ def test_rotations_of_one_shape_share_one_pattern():
                 assert len(kept) == 1
 
 
+def test_a_rotation_shape_first_lowered_at_zero_angle_is_never_flagged(monkeypatch):
+    """At θ = 0 the weights (1, 1, 0, −0) are all ±1 or zero, but each u and v
+    ket still has two images: the shape's one pattern is flagged once, not a
+    signed permutation, and every later angle weighs that same pattern."""
+    flags = []
+    flag = elements._signed_permutation
+    monkeypatch.setattr(elements, "_signed_permutation",
+                        lambda *args: flags.append(flag(*args)) or flags[-1])
+    # a path register no other test lowers a rotation on, so the shape is fresh
+    schema = Schema((pol_register(), path_register(("z1", "z2"))), (pol_register(),))
+    state = StateVector.build(schema, {(("H", "z1"), ("H",)): 0.6, (("V", "z2"), ("V",)): 0.8})
+    first = PolarizationRotation("A", 0.0, paths=("z1",))
+    assert repr(first.weights) == repr((1 + 0j, 1.0, 0.0, -0.0))
+    pattern = first.lowering(schema).pattern
+    assert first.apply(state) == state
+    for theta in (0.3, math.pi / 2, -0.0, 2.0):
+        rotation = PolarizationRotation("A", theta, paths=("z1",))
+        assert rotation.lowering(schema).pattern is pattern
+        assert pattern.relabels is False
+        rotated = rotation.apply(state)
+        c, s = math.cos(theta), math.sin(theta)
+        assert rotated.amplitude((("H", "z1"), ("H",))) == pytest.approx(0.6 * c)
+        assert rotated.amplitude((("V", "z1"), ("H",))) == pytest.approx(0.6 * s)
+    assert flags == [False]
+
+
+def test_the_routers_share_one_rule():
+    """The wavelength router declares only its register and its required
+    registry: its hooks are the polarizing router's, keyed on ``freq``."""
+    hooks = ("validate", "output_registers", "ket_slots")
+    for router in (WavelengthRouter, PolarizingRouter):
+        assert not set(hooks) & set(vars(router)), router
+        assert all(getattr(router, hook) is getattr(PolarizingRouter, hook) for hook in hooks)
+    assert (WavelengthRouter.key, PolarizingRouter.key) == ("freq", "pol")
+    assert not issubclass(WavelengthRouter, PolarizingRouter)
+    with pytest.raises(TypeError, match="registry"):
+        WavelengthRouter("A", {"w1": "a1", "w2": "a2"})
+
+
 @pytest.mark.parametrize(
     "element",
     [PolarizationRotation("A", 0.3, paths=("a9",)), UnbalancedSplitter("A", ("a1", "a9"), 0.7)],
@@ -967,18 +1006,19 @@ def test_exactly_the_signed_permutations_skip_the_norm_step(kind, monkeypatch):
     state = make_hyper_bell(kind)
     for element in build_circuit(kind, params):
         relabels = not isinstance(element, (Rotation, BalancedSplitter))
-        assert (element.lowering(state.schema).relabeling is not None) == relabels, element
+        assert element.lowering(state.schema).pattern.relabels == relabels, element
         before = len(settled)
         state = element.apply(state)
         assert (len(settled) == before) == relabels, element
+    schema = two_path_state({(("H", "a1"), ("H",)): 1.0}).schema
     for still in (PolarizationRotation("A", 0.0), UnbalancedSplitter("A", ("a1", "a2"), math.pi)):
-        assert still.lowering(two_path_state({(("H", "a1"), ("H",)): 1.0}).schema).relabeling is None
+        assert not still.lowering(schema).pattern.relabels
     target = make_target(params, kind)
     corrections = all_pauli_strings(tuple(r.name for r in target.schema.photon_b))
     assert len(corrections) == 16
     for report in run_protocol(kind, params):
         for op in corrections:
-            assert op.lowering(report.bob_state_pre.schema).relabeling is not None, op
+            assert op.lowering(report.bob_state_pre.schema).pattern.relabels, op
             before = len(settled)
             op.apply(report.bob_state_pre)
             assert len(settled) == before, op
@@ -1001,7 +1041,7 @@ class Halved(Element):
 )
 def test_a_map_that_is_not_a_signed_permutation_is_not_flagged_and_still_settles(element):
     state = two_path_state({(("H", "a1"), ("H",)): 0.6, (("V", "a2"), ("H",)): 0.8})
-    assert element.lowering(state.schema).relabeling is None
+    assert not element.lowering(state.schema).pattern.relabels
     for _ in range(2):
         with pytest.raises(ValueError, match="state norm²"):
             element.apply(state)

@@ -67,9 +67,19 @@ def test_frame_is_three_bytes():
     assert frame[0] == 1  # wire version
 
 
-def test_decode_rejects_out_of_range_code():
-    with pytest.raises(ValueError):
-        decode_outcome(ChannelMessage(1, PF, 4))
+@pytest.mark.parametrize(
+    "code, error",
+    [
+        (4, "^outcome code 4 out of range$"),
+        # a bool would pass as 0 or 1, a float fails on indexing
+        (True, "^outcome code must be an integer, got True$"),
+        (np.True_, "^outcome code must be an integer, got "),
+        (1.0, "^outcome code must be an integer, got 1.0$"),
+    ],
+)
+def test_decode_rejects_out_of_range_code(code, error):
+    with pytest.raises(ValueError, match=error):
+        decode_outcome(ChannelMessage(1, PF, code))
 
 
 def test_frame_rejects_bad_version_and_length():
@@ -88,6 +98,11 @@ def test_frame_rejects_bad_version_and_length():
         (ChannelMessage(1, PF, 7), "outcome code 7 out of range"),
         (ChannelMessage(1, TB, 8), "outcome code 8 out of range"),
         (ChannelMessage(1, "pf", 0), "unknown protocol 'pf'; expected a ProtocolKind"),
+        # a bool would pass as 0 or 1, a float fails on indexing
+        (ChannelMessage(True, TB, 3), "^wire version must be an integer, got True$"),
+        (ChannelMessage(1, PF, True), "^outcome code must be an integer, got True$"),
+        (ChannelMessage(1, TB, np.False_), "^outcome code must be an integer, got "),
+        (ChannelMessage(1, PF, 1.0), "^outcome code must be an integer, got 1.0$"),
     ],
 )
 def test_writer_refuses_a_frame_the_reader_rejects(message, error):

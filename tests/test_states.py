@@ -3,7 +3,9 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,17 +106,29 @@ def test_target_norm_by_direct_summation(params, kind):
 
 
 @pytest.mark.parametrize(
-    "pair",
+    "pair, message",
     [
-        dict(alpha0=0.5, beta0=0.5),
-        dict(alpha0=1.0, beta0=0.0, alpha1=0.9, beta1=0.9),
-        dict(alpha0=1.2, beta0=0.0),
-        dict(alpha0=1.0, beta0=0.0, alpha2=-1.5, beta2=0.0),
+        (dict(alpha0=0.5, beta0=0.5), "pol pair .* not normalized"),
+        (dict(alpha0=1.0, beta0=0.0, alpha1=0.9, beta1=0.9), "freq pair .* not normalized"),
+        (dict(alpha0=1.2, beta0=0.0), r"pol coefficient 1.2 outside \[-1, 1\]"),
+        (dict(alpha0=1.0, beta0=0.0, alpha2=-1.5, beta2=0.0), r"time coefficient -1.5 outside"),
+        # a bool would pass as 0 or 1, a string or a complex fail on comparison
+        (dict(alpha0=True, beta0=False), "^alpha0 must be a real number, got True$"),
+        (dict(alpha1=np.True_, beta1=np.False_), "^alpha1 must be a real number, got "),
+        (dict(alpha0=0.6, beta0=0.8, alpha2=1.0, beta2=False), "^beta2 must be a real number, "),
+        (dict(alpha0="0.6", beta0=0.8), "^alpha0 must be a real number, got '0.6'$"),
+        (dict(alpha0=1 + 0j), r"^alpha0 must be a real number, got \(1\+0j\)$"),
     ],
 )
-def test_params_rejected(pair):
-    with pytest.raises(ValueError):
+def test_params_rejected(pair, message):
+    with pytest.raises(ValueError, match=message):
         TargetParams(**{"alpha0": 1.0, "beta0": 0.0, **pair})
+
+
+@pytest.mark.parametrize("text", [3, None, b"pf", "xx"])
+def test_an_unknown_protocol_is_a_value_error(text):
+    with pytest.raises(ValueError, match=f"^unknown protocol {re.escape(repr(text))}; expected"):
+        ProtocolKind.parse(text)
 
 
 # ---------------------------------------------------------------------------
