@@ -13,11 +13,11 @@ so importing the package does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .protocols import outcome_registry
-from .states import ProtocolKind, hyper_bell_schema
+from .states import ProtocolKind, _integer, hyper_bell_schema
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,13 +32,11 @@ class EfficiencyInput:
     classical_bits: int
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("transmitted_qubits", self.transmitted_qubits),
-            ("channel_qubits", self.channel_qubits),
-            ("classical_bits", self.classical_bits),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        for field in fields(self):
+            value = _integer(field.name, getattr(self, field.name))
+            if value < 0:
+                raise ValueError(f"{field.name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, field.name, value)  # a numpy integer becomes an int
         if self.channel_qubits + self.classical_bits == 0:
             raise ValueError("channel_qubits + classical_bits must be positive")
 

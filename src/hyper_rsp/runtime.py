@@ -19,7 +19,8 @@ counts are a pure function of (seed, chunk index), and a run adds them as
 integers, so its statistics do not depend on the order or the process in which
 its chunks are drawn.  ``RandomState`` is numpy's frozen legacy stream (NEP 19):
 for a fixed bit generator it gives the same values in every numpy release, up
-to roundoff error.  Seeds and chunk indices are integers in [0, 2^64).
+to roundoff error.  Seeds and chunk indices are integers in [0, 2^64); they,
+the counts and the wire codes pass the integer rule of :mod:`hyper_rsp.states`.
 :func:`chunk_generator` hands Philox the key words through a small seed sequence
 of its own instead of ``Philox(key=...)``, which would first fill an unused
 ``SeedSequence`` from OS entropy; the stream is the same.  So the generator's
@@ -35,12 +36,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .protocols import BranchReport, _corrections, outcome_registry, run_protocol
 from .states import Outcome, ProtocolKind, TargetParams, UnknownDetectorError, unknown_protocol
+from .states import _integer, _number
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,6 +114,8 @@ def message_to_bytes(message: ChannelMessage) -> bytes:
 
 
 def message_from_bytes(frame: bytes) -> ChannelMessage:
+    if not isinstance(frame, (bytes, bytearray)):
+        raise ValueError(f"frame must be bytes or a bytearray, got {type(frame).__name__}")
     if len(frame) != 3:
         raise ValueError(f"expected a 3-byte frame, got {len(frame)} bytes")
     version, protocol_code, outcome_code = frame
@@ -139,17 +142,6 @@ def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
         key.append(value)
     words = _chunk_key_type()(np.array(key, dtype=np.uint64))
     return np.random.Generator(np.random.Philox(words, counter=np.zeros(4, np.uint64)))
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; anything else raises ``ValueError``, a bool too,
-    which ``operator.index`` would take as 0 or 1."""
-    if type(value) is not bool:
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @functools.cache
@@ -182,12 +174,9 @@ class BranchSampler:
     def draw_many(self, state: np.random.RandomState, detected: int) -> np.ndarray:
         """The outcome counts of ``detected`` trials, in registry order: one
         multinomial draw over the branch probabilities.  ``detected`` must be
-        an integer: ``multinomial`` would draw 2 trials for 2.5."""
-        try:
-            detected = operator.index(detected)
-        except TypeError:
-            raise TypeError(f"detected count must be an integer, got {detected!r}") from None
-        return state.multinomial(detected, self._probabilities)
+        an integer, a bool excepted, or ``ValueError`` is raised: ``multinomial``
+        would draw 2 trials for 2.5 and one for ``True``."""
+        return state.multinomial(_integer("detected count", detected), self._probabilities)
 
 
 def sample_with_loss(
@@ -210,8 +199,7 @@ def sample_with_loss(
     """
     import numpy as np
 
-    if isinstance(eta_d, (bool, np.bool_)):
-        raise ValueError(f"eta_d must be a number, got {eta_d!r}")
+    _number("eta_d", eta_d)
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"detector efficiency must lie in [0, 1], got {eta_d}")
     trials = _integer("trials", trials)

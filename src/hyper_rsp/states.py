@@ -21,12 +21,16 @@ checks give what they gave on its input.  Immutability lets
 a state keep what is derived from it: the channel is one state per protocol,
 shared by every caller, and a measured state partitions its support by
 photon-A ket once, on its first projection, for every outcome after it.
+
+Every number entering the package passes :func:`_integer` or :func:`_number`,
+the two rules kept here: each refuses a bool and raises ``ValueError`` naming it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
@@ -75,6 +79,24 @@ def unknown_protocol(kind: object) -> ValueError:
     return ValueError(f"unknown protocol {kind!r}; expected a ProtocolKind")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; anything else raises ``ValueError``, a bool too."""
+    if type(value) is not bool:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(name: str, value, kind: type = numbers.Real):
+    """``value`` if it is a ``kind``, a ``numbers`` ABC, and no bool, which would
+    pass as 0 or 1; anything else, a string too, raises ``ValueError``."""
+    if type(value) is bool or not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__.lower()} number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Register:
     """One degree-of-freedom slot: a name and its ordered, finite value set."""
@@ -104,9 +126,10 @@ def freq_register() -> Register:
 
 
 def time_register(values: tuple = TIME_BINS) -> Register:
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 0 for v in values):
+    values = tuple(_integer("time-bin delay", v) for v in values)
+    if any(v < 0 for v in values):
         raise ValueError("time-bin delays must be non-negative integers")
-    return Register("time", tuple(values))
+    return Register("time", values)
 
 
 def path_register(paths: Iterable[str]) -> Register:
@@ -272,7 +295,7 @@ class StateVector:
         norm_sq = 0.0
         for label, amp in amplitudes.items():
             if type(amp) is not complex:
-                amp = complex(amp)
+                amp = complex(_number("amplitude", amp, numbers.Complex))
             magnitude = abs(amp)
             if magnitude < PRUNE_TOL:
                 continue
@@ -354,9 +377,7 @@ class TargetParams:
         for name, fields in self.PAIRS.items():
             alpha, beta = self.pair(name)
             for field_name, v in zip(fields, (alpha, beta)):
-                # a bool would pass as 0 or 1; a numpy bool is no Real
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                    raise ValueError(f"{field_name} must be a real number, got {v!r}")
+                _number(field_name, v)
                 if not -1.0 <= v <= 1.0:
                     raise ValueError(f"{name} coefficient {v!r} outside [-1, 1]")
             r = alpha * alpha + beta * beta
@@ -430,7 +451,7 @@ def make_target(params: TargetParams, kind: ProtocolKind) -> StateVector:
     layout = schema.layout("B")
     # The kets are the product of the registers' values, in the same order.
     weights = product(*(params.pair(reg.name) for reg in layout.registers))
-    amps = {((), ket): math.prod(w) for ket, w in zip(layout.kets, weights, strict=True)}
+    amps = {((), ket): complex(math.prod(w)) for ket, w in zip(layout.kets, weights, strict=True)}
     return StateVector.build(schema, amps)
 
 

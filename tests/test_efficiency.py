@@ -59,7 +59,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         EfficiencyInput(2, 4.0, 2)  # type: ignore[arg-type]
     # a bool is an int to isinstance, but never a count
-    for counts, name in [((True, 4, 2), "transmitted_qubits"), ((2, True, False), "channel_qubits"),
-                         ((2, 4, False), "classical_bits")]:
-        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got "):
+    for counts, name, flag in [((True, 4, 2), "transmitted_qubits", True),
+                               ((2, True, False), "channel_qubits", True),
+                               ((2, 4, False), "classical_bits", False)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {flag}$"):
             EfficiencyInput(*counts)

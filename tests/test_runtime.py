@@ -89,6 +89,12 @@ def test_frame_rejects_bad_version_and_length():
         message_from_bytes(bytes((1, 7, 0)))
     with pytest.raises(ValueError):
         message_from_bytes(b"\x01\x00")
+    # any other sequence would alias a byte with a bool or a float
+    for frame in ([True, 0.0, 1], (1.0, 1, 2), [1, 0, 1], "abc"):
+        kind = type(frame).__name__
+        with pytest.raises(ValueError, match=f"^frame must be bytes or a bytearray, got {kind}$"):
+            message_from_bytes(frame)
+    assert message_from_bytes(bytearray(b"\x01\x00\x01")) == ChannelMessage(1, PF, 1)
 
 
 @pytest.mark.parametrize(
@@ -414,7 +420,7 @@ def test_draw_many_refuses_anything_but_words(kind, generic_params):
     sampler = BranchSampler(kind, generic_params)
     state = np.random.RandomState(chunk_generator(3, 0).bit_generator)
     for detected in (2.5, np.float64(3.0), np.array([3])):
-        with pytest.raises(TypeError, match="detected count must be an integer"):
+        with pytest.raises(ValueError, match="detected count must be an integer"):
             sampler.draw_many(state, detected)
     assert sum(sampler.draw_many(state, np.int64(3))) == 3
 
@@ -532,7 +538,7 @@ def test_a_bool_is_no_sampling_input(flag, generic_params):
     """``True`` would be taken as 1 (η_d = 1, one trial, seed 1's stream, Philox
     key word 1) and ``False`` as 0: each is refused by the argument's name."""
     for eta_d in (flag, np.bool_(flag)):
-        message = f"^eta_d must be a number, got {re.escape(repr(eta_d))}$"
+        message = f"^eta_d must be a real number, got {re.escape(repr(eta_d))}$"
         with pytest.raises(ValueError, match=message):
             sample_with_loss(PF, generic_params, eta_d, 10, 3)
     with pytest.raises(ValueError, match=f"^trials must be an integer, got {flag}$"):

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import angles, assert_states_close, target_params
+from hyper_rsp.efficiency import EfficiencyInput
 from hyper_rsp.elements import (
     DropUniformRegister,
     FrequencyEraser,
@@ -19,6 +20,15 @@ from hyper_rsp.elements import (
     WavelengthRouter,
 )
 from hyper_rsp.protocols import build_circuit
+from hyper_rsp.runtime import (
+    BranchSampler,
+    ChannelMessage,
+    chunk_generator,
+    decode_outcome,
+    message_from_bytes,
+    message_to_bytes,
+    sample_with_loss,
+)
 from hyper_rsp.states import (
     POLARIZATION,
     Outcome,
@@ -276,9 +286,17 @@ def test_register_rejects_duplicates():
         Register("path", ("a1", "a1"))
 
 
-@pytest.mark.parametrize("values", [(False, True), (0, True), (-1, 0), (0, 1.0)])
-def test_time_register_takes_only_non_negative_int_delays(values):
-    with pytest.raises(ValueError, match="^time-bin delays must be non-negative integers$"):
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        pytest.param((False, True), "^time-bin delay must be an integer, got False$", id="values0"),
+        pytest.param((0, True), "^time-bin delay must be an integer, got True$", id="values1"),
+        pytest.param((-1, 0), "^time-bin delays must be non-negative integers$", id="values2"),
+        pytest.param((0, 1.0), "^time-bin delay must be an integer, got 1.0$", id="values3"),
+    ],
+)
+def test_time_register_takes_only_non_negative_int_delays(values, message):
+    with pytest.raises(ValueError, match=message):
         time_register(values)
     assert time_register((0, 1)).values == (0, 1)
 
@@ -383,3 +401,86 @@ def test_hyper_bell_global_phase_freedom(params):
     # fidelity of a state with itself under any relabeling-free phase is 1
     state = make_target(params, ProtocolKind.PF)
     assert_states_close(state, state)
+
+
+# ---------------------------------------------------------------------------
+# the two rules for numbers from outside: integers and (real or complex) numbers
+
+INTEGER, REAL, COMPLEX = "an integer", "a real number", "a complex number"
+FRAME = "bytes or a bytearray"
+PARAMS = TargetParams(0.6, 0.8, 0.28, 0.96)
+POL_ONLY = Schema((), (pol_register(),))
+
+
+def _draw_many(detected):
+    state = np.random.RandomState(chunk_generator(3, 0).bit_generator)
+    return BranchSampler(ProtocolKind.PF, PARAMS).draw_many(state, detected)
+
+
+#: Each entry point that takes a number from outside: the kind of value it
+#: requires, the name its error gives, and a call passing the value there.
+ENTRY_POINTS = {
+    "chunk_generator seed": (INTEGER, "seed", lambda v: chunk_generator(v, 0)),
+    "chunk_generator index": (INTEGER, "chunk index", lambda v: chunk_generator(0, v)),
+    "sample_with_loss trials": (
+        INTEGER, "trials", lambda v: sample_with_loss(ProtocolKind.PF, PARAMS, 0.5, v, 3)),
+    "sample_with_loss seed": (
+        INTEGER, "seed", lambda v: sample_with_loss(ProtocolKind.PF, PARAMS, 0.5, 10, v)),
+    "sample_with_loss eta_d": (
+        REAL, "eta_d", lambda v: sample_with_loss(ProtocolKind.PF, PARAMS, v, 10, 3)),
+    "draw_many": (INTEGER, "detected count", _draw_many),
+    "decode_outcome": (
+        INTEGER, "outcome code", lambda v: decode_outcome(ChannelMessage(1, ProtocolKind.PF, v))),
+    "message_to_bytes version": (
+        INTEGER, "wire version", lambda v: message_to_bytes(ChannelMessage(v, ProtocolKind.PF, 0))),
+    "message_to_bytes code": (
+        INTEGER, "outcome code", lambda v: message_to_bytes(ChannelMessage(1, ProtocolKind.TB, v))),
+    "message_from_bytes": (FRAME, "frame", message_from_bytes),
+    "time_register": (INTEGER, "time-bin delay", lambda v: time_register((0, v))),
+    "EfficiencyInput transmitted": (
+        INTEGER, "transmitted_qubits", lambda v: EfficiencyInput(v, 4, 2)),
+    "EfficiencyInput channel": (INTEGER, "channel_qubits", lambda v: EfficiencyInput(2, v, 2)),
+    "EfficiencyInput classical": (INTEGER, "classical_bits", lambda v: EfficiencyInput(2, 4, v)),
+    "TargetParams alpha0": (REAL, "alpha0", lambda v: TargetParams(v, 0.8)),
+    "TargetParams beta2": (REAL, "beta2", lambda v: TargetParams(1.0, 0.0, 1.0, 0.0, 1.0, v)),
+    "StateVector amplitude": (
+        COMPLEX, "amplitude", lambda v: StateVector.build(POL_ONLY, {((), ("H",)): v})),
+}
+
+#: Every entry point meets each value that is no number (``complex()`` would
+#: read "1" and "1+0j" as 1, and ``True`` is 1 to arithmetic); 1.5 meets those
+#: that want an integer, the frame reader included, where it would be truncated.
+BOUNDARY = [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry, (kind, _, _) in ENTRY_POINTS.items()
+    for value in (True, np.True_, "1", "1+0j", None) + ((1.5,) if kind in (INTEGER, FRAME) else ())
+]
+
+
+@pytest.mark.parametrize("entry, value", BOUNDARY)
+def test_every_entry_point_refuses_what_its_rule_refuses(entry, value):
+    kind, name, call = ENTRY_POINTS[entry]
+    shown = type(value).__name__ if kind == FRAME else repr(value)
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {re.escape(shown)}$"):
+        call(value)
+
+
+def test_numpy_numbers_pass_where_python_ones_do():
+    counts = EfficiencyInput(2, 4, np.int64(2))
+    assert counts == EfficiencyInput(2, 4, 2)
+    assert type(counts.classical_bits) is int
+    register = time_register((0, np.int64(1)))
+    assert register == time_register((0, 1))
+    assert [type(v) for v in register.values] == [int, int]
+    eta_d, trials, seed = np.float64(0.8), np.int64(20000), np.uint64(7)
+    stats = sample_with_loss(ProtocolKind.TB, PARAMS, eta_d, trials, seed)
+    assert stats == sample_with_loss(ProtocolKind.TB, PARAMS, 0.8, 20000, 7)
+    assert type(stats.trials) is int
+    assert TargetParams(np.float64(0.6), np.float64(0.8)) == TargetParams(0.6, 0.8)
+
+
+@pytest.mark.parametrize("amp", [1, 1.0, np.float64(1.0), np.complex128(1), 1 + 0j])
+def test_an_amplitude_is_any_complex_number(amp):
+    state = StateVector.build(POL_ONLY, {((), ("H",)): amp})
+    assert state.amplitudes == {((), ("H",)): 1 + 0j}
+    assert type(state.amplitude(((), ("H",)))) is complex
