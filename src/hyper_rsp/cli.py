@@ -63,7 +63,8 @@ def _params_dict(params: TargetParams) -> dict:
 
 def random_params(seed: int) -> TargetParams:
     """Reproducible random target: three angles from the documented generator."""
-    return TargetParams.random(chunk_generator(seed, PARAMS_STREAM))
+    angles = chunk_generator(seed, PARAMS_STREAM).uniform(0.0, 2.0 * math.pi, 3)
+    return TargetParams.from_angles(*angles)
 
 
 def parse_params(tokens: list[str], protocol: ProtocolKind, seed: int) -> TargetParams:
@@ -98,7 +99,7 @@ def _branch_entry(kind: ProtocolKind, branch: BranchReport, consistent: bool) ->
         "code": encode_outcome(kind, branch.outcome).outcome_code,
         "probability": _round12(branch.probability),
         "bob_state_pre": _state_amplitudes(branch.bob_state_pre),
-        "correction": branch.correction.compact(),
+        "correction": str(branch.correction),
         "bob_state_post": _state_amplitudes(branch.bob_state_post),
         "fidelity_post": _round12(branch.fidelity_post),
         "correction_consistent": consistent,
@@ -457,7 +458,3 @@ def main(argv: list[str] | None = None) -> int:
             report = sample_report(kind, params, args.eta_d, args.trials, args.seed)
         (handle or sys.stdout).write(render(args.command, report, args.fmt))
     return EXIT_OK if report.get("all_pass", True) else EXIT_VERIFY_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

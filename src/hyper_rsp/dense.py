@@ -51,7 +51,7 @@ def state_to_vector(state: StateVector) -> np.ndarray:
 
     a_index, b_index = state.schema.layout("A").index, state.schema.layout("B").index
     vec = np.zeros(state.schema.dimension(), dtype=complex)
-    for (a, b), amp in state.items():
+    for (a, b), amp in state.amplitudes.items():
         vec[a_index[a] * len(b_index) + b_index[b]] = amp
     return vec
 

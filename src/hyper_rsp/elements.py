@@ -37,7 +37,8 @@ unused ports, a free later time bin, a uniform register).  There ``ket_slots`` i
 a partial map: it returns ``None`` on a ket outside the element's legal domain.
 That ``None`` case is the element's one legality rule, and the domain is derived
 from it, so the sparse :meth:`Element.apply` and the dense lowering reject
-exactly the same kets.
+exactly the same kets.  Every register value that ``validate`` names passes
+the one register rule, :meth:`~hyper_rsp.states.Register.require`.
 
 Ket conventions used throughout (θ, φ in radians):
 
@@ -73,6 +74,7 @@ from .states import (
     Schema,
     SchemaMismatchError,
     StateVector,
+    _number,
     path_register,
 )
 
@@ -298,13 +300,9 @@ class Rotation(Element):
         return [(_with(ket, position, u), 3), (_with(ket, position, v), 1)]
 
     def validate(self, layout: Layout) -> None:
-        register = layout.register(self.register)
-        for value in self.pair:
-            register.index(value)
+        layout.register(self.register).require(self.pair)
         if self.paths is not None:
-            path = layout.register("path")
-            for p in self.paths:
-                path.index(p)
+            layout.register("path").require(self.paths)
 
     def _kept_patterns(self, schema):
         return Rotation._patterns, (type(self), self.photon, self.pair, self.paths, schema)
@@ -320,6 +318,9 @@ class PolarizationRotation(Rotation):
     register, pair = "pol", ("H", "V")
     angle = property(lambda self: self.theta)
 
+    def __post_init__(self) -> None:
+        _number("theta", self.theta)
+
 
 @dataclass(frozen=True)
 class UnbalancedSplitter(Rotation):
@@ -332,6 +333,9 @@ class UnbalancedSplitter(Rotation):
     register = "path"
     pair = property(lambda self: self.path_pair)
     angle = property(lambda self: self.phi / 2.0)
+
+    def __post_init__(self) -> None:
+        _number("phi", self.phi)
 
     def validate(self, layout: Layout) -> None:
         if self.path_pair[0] == self.path_pair[1]:
@@ -357,9 +361,8 @@ class FrequencyEraser(Element):
         missing = [p for p in path.values if p not in self.correlation]
         if missing:
             raise ValueError(f"correlation does not cover paths {missing}")
-        for p, f in self.correlation.items():
-            path.index(p)
-            freq.index(f)
+        path.require(self.correlation)
+        freq.require(self.correlation.values())
 
     def output_registers(self, layout):
         return _without(layout.registers, layout.position("freq"))
@@ -396,15 +399,14 @@ class _Router(Element):
             missing = [value for value in keyed.values if value not in self.routing]
             if missing:
                 raise ValueError(f"entry routing does not cover {self.key} values {missing}")
-            for value in self.routing:
-                keyed.index(value)
+            keyed.require(self.routing)
             return
         path = layout.register("path")
         if len(self._images) != len(self.routing):
             raise ValueError(f"routing sends two inputs of one {self.key} value to the same path")
-        for value, p in self.routing:
-            keyed.index(value)
-            path.index(p)
+        keyed.require(value for value, _ in self.routing)
+        path.require(p for _, p in self.routing)
+        for _, p in self.routing:
             for other in keyed.values:
                 if (other, p) not in self.routing:
                     raise ValueError(
@@ -463,9 +465,9 @@ class LongArmDelay(Element):
     long_arm_polarization: str
 
     def validate(self, layout: Layout) -> None:
-        layout.register("pol").index(self.long_arm_polarization)
+        layout.register("pol").require((self.long_arm_polarization,))
         layout.register("time")
-        layout.register("path").index(self.path)
+        layout.register("path").require((self.path,))
 
     def ket_slots(self, ket, layout):
         if (
@@ -492,7 +494,7 @@ class DropUniformRegister(Element):
     expected_value: object
 
     def validate(self, layout: Layout) -> None:
-        layout.register(self.register).index(self.expected_value)
+        layout.register(self.register).require((self.expected_value,))
 
     def output_registers(self, layout):
         return _without(layout.registers, layout.position(self.register))
@@ -517,10 +519,8 @@ class HalfWavePlate(Element):
     def validate(self, layout: Layout) -> None:
         layout.register("pol")
         if self.time_value is not None:
-            layout.register("time").index(self.time_value)
-        path = layout.register("path")
-        for p in self.paths:
-            path.index(p)
+            layout.register("time").require((self.time_value,))
+        layout.register("path").require(self.paths)
 
     def ket_slots(self, ket, layout):
         if ket[layout.positions["path"]] not in self.paths or (
@@ -557,9 +557,7 @@ class BalancedSplitter(Element):
     def validate(self, layout: Layout) -> None:
         if len(set(self.inputs)) != 2 or len(set(self.outputs)) != 2:
             raise ValueError(f"splitter ports must be distinct: {self.inputs} -> {self.outputs}")
-        path = layout.register("path")
-        for p in self.inputs + self.outputs:
-            path.index(p)
+        layout.register("path").require(self.inputs + self.outputs)
 
     def ket_slots(self, ket, layout):
         i_path = layout.positions["path"]
@@ -594,16 +592,13 @@ class PauliOp(Element):
             if axis not in PAULI_AXES:
                 raise ValueError(f"unknown Pauli axis {axis!r} on register {register!r}")
 
-    def compact(self) -> str:
+    def __str__(self) -> str:
         """Short ASCII form, e.g. ``sz^p*sx^f``."""
         parts = []
         for register, axis in self.factors:
             tag = _DOF_TAGS.get(register, register)
             parts.append(f"{axis}^{tag}")
         return "*".join(parts)
-
-    def __str__(self) -> str:
-        return self.compact()
 
     def validate(self, layout: Layout) -> None:
         for register, _ in self.factors:

@@ -36,7 +36,7 @@ from enum import Enum
 from functools import cache, cached_property
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 NORM_TOL = 1e-10
 PRUNE_TOL = 1e-14
@@ -110,11 +110,11 @@ class Register:
         if not self.values:
             raise ValueError(f"register {self.name!r} has no values")
 
-    def index(self, value) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise ValueError(f"value {value!r} not in register {self.name!r}") from None
+    def require(self, values: Iterable) -> None:
+        """Raise ``ValueError`` naming the first of ``values`` the register lacks."""
+        for value in values:
+            if value not in self.values:
+                raise ValueError(f"value {value!r} not in register {self.name!r}")
 
 
 def pol_register() -> Register:
@@ -224,10 +224,6 @@ class Schema:
         a_kets, b_kets = self._layouts["A"].kets, self._layouts["B"].kets
         return tuple((a, b) for a in a_kets for b in b_kets)
 
-    @cached_property
-    def _label_set(self) -> frozenset[Label]:
-        return frozenset(self.canonical_labels)
-
     def layout(self, photon: str) -> Layout:
         try:
             return self._layouts[photon]
@@ -236,10 +232,6 @@ class Schema:
 
     def dimension(self) -> int:
         return len(self._layouts["A"].kets) * len(self._layouts["B"].kets)
-
-    def labels(self) -> list[Label]:
-        """A fresh list of :attr:`canonical_labels`."""
-        return list(self.canonical_labels)
 
     def validate_label(self, label: Label) -> None:
         a_values, b_values = label
@@ -274,22 +266,16 @@ class StateVector:
     amplitudes: Mapping[Label, complex]
 
     @classmethod
-    def build(
-        cls,
-        schema: Schema,
-        amplitudes: Mapping[Label, complex],
-        normalize: bool = False,
-    ) -> "StateVector":
+    def build(cls, schema: Schema, amplitudes: Mapping[Label, complex]) -> "StateVector":
         """Validate every label, then :meth:`settle`."""
-        if not schema._label_set.issuperset(amplitudes):
-            for label in amplitudes:  # find the label at fault for the message
-                schema.validate_label(label)
-        return cls.settle(schema, amplitudes, normalize)
+        for label in amplitudes:
+            schema.validate_label(label)
+        return cls.settle(schema, amplitudes)
 
     @classmethod
-    def settle(cls, schema: Schema, amplitudes: Mapping, normalize: bool = False) -> "StateVector":
-        """Prune tiny amplitudes and enforce (or restore) unit norm, in one pass
-        over labels the caller knows to be ``schema``'s; :meth:`build` checks them."""
+    def settle(cls, schema: Schema, amplitudes: Mapping) -> "StateVector":
+        """Prune tiny amplitudes and enforce unit norm, in one pass over labels
+        the caller knows to be ``schema``'s; :meth:`build` checks them."""
         pruned: dict[Label, complex] = {}
         # Term by term in insertion order: sum() of floats is compensated from Python 3.12 on.
         norm_sq = 0.0
@@ -303,12 +289,7 @@ class StateVector:
             norm_sq += magnitude ** 2
         if not math.isfinite(norm_sq):
             raise ValueError(f"state norm² = {norm_sq!r} is not finite")
-        if normalize:
-            if norm_sq == 0.0:
-                raise ValueError("cannot normalize a zero state")
-            scale = 1.0 / math.sqrt(norm_sq)
-            pruned = {label: amp * scale for label, amp in pruned.items()}
-        elif abs(norm_sq - 1.0) > NORM_TOL:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state norm² = {norm_sq!r}, expected 1 within {NORM_TOL}")
         return cls(schema, MappingProxyType(pruned))
 
@@ -328,17 +309,11 @@ class StateVector:
     def amplitude(self, label: Label) -> complex:
         return self.amplitudes.get(label, 0j)
 
-    def items(self) -> Iterator[tuple[Label, complex]]:
-        return iter(self.amplitudes.items())
-
     def norm_sq(self) -> float:
         norm_sq = 0.0  # summed term by term in insertion order, as settle does
         for amp in self.amplitudes.values():
             norm_sq += abs(amp) ** 2
         return norm_sq
-
-    def support(self) -> set[Label]:
-        return set(self.amplitudes)
 
     def __str__(self) -> str:
         parts = [
@@ -394,6 +369,8 @@ class TargetParams:
     @classmethod
     def from_angles(cls, theta_p: float, theta_f: float, theta_t: float) -> "TargetParams":
         """Build from three angles on the real parameter circle."""
+        for name, angle in (("theta_p", theta_p), ("theta_f", theta_f), ("theta_t", theta_t)):
+            _number(name, angle)
         return cls(
             alpha0=math.cos(theta_p),
             beta0=math.sin(theta_p),
@@ -402,12 +379,6 @@ class TargetParams:
             alpha2=math.cos(theta_t),
             beta2=math.sin(theta_t),
         )
-
-    @classmethod
-    def random(cls, rng) -> "TargetParams":
-        """Draw angles uniformly on [0, 2π), then cos/sin to normalized pairs."""
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        return cls.from_angles(*angles)
 
 
 @cache
@@ -452,7 +423,7 @@ def make_target(params: TargetParams, kind: ProtocolKind) -> StateVector:
     # The kets are the product of the registers' values, in the same order.
     weights = product(*(params.pair(reg.name) for reg in layout.registers))
     amps = {((), ket): complex(math.prod(w)) for ket, w in zip(layout.kets, weights, strict=True)}
-    return StateVector.build(schema, amps)
+    return StateVector.settle(schema, amps)
 
 
 def fidelity(s: StateVector, t: StateVector) -> float:
@@ -502,4 +473,7 @@ def project_photon_a(
         probability += abs(amp) ** 2
     if probability == 0.0:
         return 0.0, None
-    return probability, StateVector.build(receiver, residual, normalize=True)
+    # the residual's labels are the state's own photon-B kets: no check to repeat
+    scale = 1.0 / math.sqrt(probability)
+    return probability, StateVector.settle(
+        receiver, {label: amp * scale for label, amp in residual.items()})

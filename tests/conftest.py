@@ -41,7 +41,7 @@ def assert_states_close(s: StateVector, t: StateVector, tol: float = GLOBAL_PHAS
 
 def assert_amplitudes_equal(state: StateVector, expected: dict, tol: float = 1e-12):
     """Exact amplitude comparison (no phase freedom), label by label."""
-    labels = set(expected) | state.support()
+    labels = set(expected) | set(state.amplitudes)
     for label in labels:
         got = state.amplitude(label)
         want = complex(expected.get(label, 0.0))

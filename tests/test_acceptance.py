@@ -55,7 +55,7 @@ GENERIC = TargetParams(0.6, 0.8, 0.28, 0.96, 0.6, 0.8)
 
 def sampled_params(count, key):
     rng = np.random.Generator(np.random.Philox(key=key))
-    return [TargetParams.random(rng) for _ in range(count)]
+    return [TargetParams.from_angles(*rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(count)]
 
 
 def _passed(line):

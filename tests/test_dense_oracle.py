@@ -117,7 +117,7 @@ def test_sparse_equals_dense_stage_by_stage(params):
 
 
 def vector_to_state(vec, schema):
-    labels = schema.labels()
+    labels = schema.canonical_labels
     return StateVector.build(schema, {labels[i]: vec[i] for i in np.flatnonzero(np.abs(vec))})
 
 
@@ -146,7 +146,7 @@ def test_max_deviation_rejects_a_vector_of_another_shape(vec):
 def test_dense_vector_canonical_layout():
     state = make_hyper_bell(PF)
     vec = state_to_vector(state)
-    labels = state.schema.labels()
+    labels = state.schema.canonical_labels
     assert vec[labels.index((("H", "w1"), ("H", "w1")))] == 0.5
     assert np.count_nonzero(vec) == 4
     assert vec.shape == (state.schema.dimension(),)
@@ -177,7 +177,7 @@ def assert_routes_agree_ket_by_ket(element, schema):
     layout = schema.layout(element.photon)
     own_domain = {ket for ket in layout.kets if ket_image(element, ket, layout) is not None}
     basis = np.eye(schema.dimension())
-    for i, label in enumerate(schema.labels()):
+    for i, label in enumerate(schema.canonical_labels):
         try:
             sparse = element.apply(StateVector.build(schema, {label: 1.0}))
         except CorrelationError:
@@ -239,10 +239,10 @@ def full_space_lowering(element, schema):
     on_a = element.photon == "A"
     in_labels = [
         label
-        for label in schema.labels()
+        for label in schema.canonical_labels
         if ket_image(element, own_ket(element, label), layout) is not None
     ]
-    out_labels = element.output_schema(schema).labels()
+    out_labels = element.output_schema(schema).canonical_labels
     out_index = {label: i for i, label in enumerate(out_labels)}
     matrix = np.zeros((len(out_labels), len(in_labels)), dtype=complex)
     for j, label in enumerate(in_labels):
@@ -334,7 +334,7 @@ def test_both_routes_reject_exactly_where_the_ket_map_is_undefined(kind, photon)
     defined = tuple(ket for ket in layout.kets if ket[layout.positions["pol"]] == "V")
     assert element_to_dense(element, schema).pattern.in_kets == defined
     basis = np.eye(schema.dimension())
-    for i, label in enumerate(schema.labels()):
+    for i, label in enumerate(schema.canonical_labels):
         state = StateVector.build(schema, {label: 1.0})
         if own_ket(element, label) in defined:
             assert element.apply(state) == state
@@ -376,9 +376,10 @@ def test_dense_photon_b_domain_rejects_off_domain_support():
     with pytest.raises(ValueError, match="outside the element's legal domain"):
         apply_dense(drop, state_to_vector(state), state.schema)
     # Restricted to the early bin, the same drop applies on both routes.
-    early = StateVector.build(
-        state.schema, {label: amp for label, amp in state.items() if label[1][-1] == 0},
-        normalize=True,
+    early = StateVector.build(  # the early half holds norm² 1/2
+        state.schema,
+        {label: amp * math.sqrt(2.0)
+         for label, amp in state.amplitudes.items() if label[1][-1] == 0},
     )
     vec, schema = apply_dense(drop, state_to_vector(early), early.schema)
     sparse = drop.apply(early)
@@ -491,8 +492,8 @@ def test_label_tables_hold_only_their_schemas_labels():
             for element in build_circuit(kind, params):
                 for schema, lowering in element._lowerings.items():
                     pattern = lowering.pattern
-                    table, images = pattern.labels, set(pattern.out_schema.labels())
-                    assert set(table) <= set(schema.labels()), element
+                    table, images = pattern.labels, set(pattern.out_schema.canonical_labels)
+                    assert set(table) <= set(schema.canonical_labels), element
                     assert len(table) <= schema.dimension(), element
                     for kept in table.values():
                         if pattern.relabels:

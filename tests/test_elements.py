@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -63,7 +64,7 @@ def two_path_state(amps):
 def bob_marginal(state):
     """Receiver-side probabilities, the invariant sender-side optics must keep."""
     marginal = {}
-    for (_, b_values), amp in state.items():
+    for (_, b_values), amp in state.amplitudes.items():
         marginal[b_values] = marginal.get(b_values, 0.0) + abs(amp) ** 2
     return marginal
 
@@ -74,7 +75,7 @@ def bob_marginal(state):
 
 def test_rotation_zero_is_identity():
     state = make_hyper_bell(ProtocolKind.PF)
-    assert_amplitudes_equal(PolarizationRotation("A", 0.0).apply(state), dict(state.items()))
+    assert_amplitudes_equal(PolarizationRotation("A", 0.0).apply(state), dict(state.amplitudes))
 
 
 def test_rotation_quarter_turn():
@@ -117,7 +118,7 @@ def test_rotation_path_restriction():
 def test_splitter_zero_is_identity():
     state = two_path_state({(("H", "a1"), ("H",)): 1.0})
     out = UnbalancedSplitter("A", ("a1", "a2"), 0.0).apply(state)
-    assert_amplitudes_equal(out, dict(state.items()))
+    assert_amplitudes_equal(out, dict(state.amplitudes))
 
 
 def test_splitter_full_swap_with_sign():
@@ -307,7 +308,7 @@ def test_pockels_flips_only_matching_bin_and_path():
 def test_pockels_no_match_is_identity():
     state = _timed_state({(("H", 1, "a1"), ("H",)): 1.0})
     cell = PockelsCell("A", paths=("a2",), time_value=0)
-    assert_amplitudes_equal(cell.apply(state), dict(state.items()))
+    assert_amplitudes_equal(cell.apply(state), dict(state.amplitudes))
 
 
 def test_pockels_twice_is_identity():
@@ -315,7 +316,7 @@ def test_pockels_twice_is_identity():
         {(("H", 0, "a2"), ("H",)): 1 / SQ2, (("V", 0, "a2"), ("H",)): 1 / SQ2}
     )
     cell = PockelsCell("A", paths=("a2",), time_value=0)
-    assert_amplitudes_equal(cell.apply(cell.apply(state)), dict(state.items()))
+    assert_amplitudes_equal(cell.apply(cell.apply(state)), dict(state.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +341,33 @@ def test_delay_adds_one_unit_to_matching_components():
 def test_delay_ignores_other_polarization():
     state = _timed_state({(("H", 0, "a1"), ("H",)): 1.0})
     delayed = LongArmDelay("A", "a1", "V").apply(state)
-    assert_amplitudes_equal(delayed, dict(state.items()))
+    assert_amplitudes_equal(delayed, dict(state.amplitudes))
 
 
 @pytest.mark.parametrize(
-    "element",
-    [PockelsCell("A", ("a2",), time_value=7), LongArmDelay("A", "k2", "X")],
-    ids=["pockels-time-bin", "delay-polarization"],
+    "element, message",
+    [
+        (PockelsCell("A", ("a2",), time_value=7), "value 7 not in register 'time'"),
+        (LongArmDelay("A", "k2", "X"), "value 'X' not in register 'pol'"),
+        (FrequencyEraser("A", dict.fromkeys(TB_PATHS, "w1") | {"a2": "w9"}),
+         "value 'w9' not in register 'freq'"),
+        (PolarizingRouter("A", {("H", "a9"): "a1", ("V", "a9"): "a2"}),
+         "value 'a9' not in register 'path'"),
+        (BalancedSplitter("A", ("a1", "a2"), ("k1", "a9")), "value 'a9' not in register 'path'"),
+    ],
+    ids=["pockels-time-bin", "delay-polarization", "eraser-frequency", "router-path",
+         "splitter-output"],
 )
-def test_validate_rejects_values_outside_the_registers(element):
+def test_validate_rejects_values_outside_the_registers(element, message):
     """A value the registers lack would leave every ket unchanged, silently."""
     schema = Schema(
-        (pol_register(), time_register((0, 1, 2)), path_register(TB_PATHS)),
+        (pol_register(), freq_register(), time_register((0, 1, 2)), path_register(TB_PATHS)),
         (pol_register(), time_register()),
     )
-    state = StateVector.build(schema, {(("V", 0, "a2"), ("H", 0)): 1.0})
-    with pytest.raises(ValueError, match="not in register"):
+    state = StateVector.build(schema, {(("V", "w1", 0, "a2"), ("H", 0)): 1.0})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         element.validate(schema.layout("A"))
-    with pytest.raises(ValueError, match="not in register"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         element.apply(state)
 
 
@@ -396,7 +406,7 @@ def test_hwp_involution():
         {(("H", "a1"), ("H",)): 1 / SQ2, (("V", "a2"), ("H",)): 1 / SQ2}
     )
     plate = HalfWavePlate("A", ("a1", "a2"))
-    assert_amplitudes_equal(plate.apply(plate.apply(state)), dict(state.items()))
+    assert_amplitudes_equal(plate.apply(plate.apply(state)), dict(state.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +452,7 @@ def test_pauli_identity():
     params = TargetParams(0.6, 0.8, 0.28, 0.96)
     target = make_target(params, ProtocolKind.PF)
     op = PauliOp("B", (("pol", "I"), ("freq", "I")))
-    assert_amplitudes_equal(op.apply(target), dict(target.items()))
+    assert_amplitudes_equal(op.apply(target), dict(target.amplitudes))
 
 
 def test_pauli_z_z_restores_mirrored_state():
@@ -460,7 +470,7 @@ def test_pauli_z_z_restores_mirrored_state():
     )
     corrected = PauliOp("B", (("pol", "sz"), ("freq", "sz"))).apply(mirrored)
     target = make_target(TargetParams(a0, b0, a1, b1), ProtocolKind.PF)
-    assert_amplitudes_equal(corrected, dict(target.items()))
+    assert_amplitudes_equal(corrected, dict(target.amplitudes))
 
 
 def test_pauli_isy_convention():
@@ -542,12 +552,12 @@ def test_elements_commute_with_phase_scaling(params, phase):
     scale = cmath.exp(1j * phase)
     state = make_hyper_bell(ProtocolKind.PF)
     scaled = StateVector.build(
-        state.schema, {label: amp * scale for label, amp in state.items()}
+        state.schema, {label: amp * scale for label, amp in state.amplitudes.items()}
     )
     element = PolarizationRotation("A", math.atan2(params.beta0, params.alpha0))
     left = element.apply(scaled)
     right = element.apply(state)
-    for label in left.support() | right.support():
+    for label in set(left.amplitudes) | set(right.amplitudes):
         assert abs(left.amplitude(label) - scale * right.amplitude(label)) < 1e-12
 
 
@@ -621,7 +631,7 @@ def reference_apply(element, state):
     element.validate(layout)
     on_a = element.photon == "A"
     acc = {}
-    for label, amp in state.items():
+    for label, amp in state.amplitudes.items():
         ket, rest = label if on_a else label[::-1]
         images = ket_image(element, ket, layout)
         assert images is not None, label
@@ -633,7 +643,7 @@ def reference_apply(element, state):
 
 def exact(state):
     """Labels in order and amplitudes by ``repr``, so signed zeros count."""
-    return state.schema, [(label, repr(amp)) for label, amp in state.items()]
+    return state.schema, [(label, repr(amp)) for label, amp in state.amplitudes.items()]
 
 
 def assert_memo_is_bit_identical(element, state):
@@ -668,8 +678,9 @@ BIT_EXACT_DIGEST = Path(__file__).parent / "golden" / "bit_exact.sha256"
 def test_every_stage_and_branch_is_bit_exact():
     """Every label and amplitude ``repr`` of each circuit stage, and each
     branch's probability and receiver states, for both protocols, hashed: the
-    12-digit goldens cannot see a last-ulp move in the norm or normalize step,
-    and ``reference_apply`` shares that step with ``apply``."""
+    12-digit goldens cannot see a last-ulp move in the norm step or in the
+    projection's scaling, and ``reference_apply`` shares the norm step with
+    ``apply``."""
     digest = hashlib.sha256()
     for kind in (ProtocolKind.PF, ProtocolKind.TB):
         for params in MEMO_TARGETS:

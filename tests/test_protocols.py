@@ -390,7 +390,7 @@ def test_basis_target_prepared_exactly():
     reports = run_protocol(PF, TargetParams(1, 0, 1, 0))
     for report in reports:
         assert report.bob_state_post.amplitude(((), ("H", "w1"))) == pytest.approx(1.0)
-        assert len(report.bob_state_post.support()) == 1
+        assert len(report.bob_state_post.amplitudes) == 1
 
 
 # ---------------------------------------------------------------------------
