@@ -27,6 +27,12 @@ out-of-domain rows, and :func:`apply_dense` multiplies the grid as it is.  On a
 partial domain it reads the out-of-domain rows, takes their largest magnitude
 only when one is non-zero, and multiplies the domain rows.
 
+The defect's Gram takes one of two routes, each a BLAS product of the whole
+matrix.  The real route: when every weight placed in the matrix's cells is real,
+as in every optic of both circuits, M†M = MᵀM is taken over the reals.  The
+complex route: any imaginary weight keeps the complex product M†M.  The tests
+hold the real route's defect to the complex formula's bits.
+
 numpy is imported on first use, inside each function that computes with it and
 never at module level, so importing this module does not load it.
 """
@@ -100,13 +106,20 @@ def element_to_dense(element: Element, schema: Schema) -> Lowering:
             raise CorrelationError(f"{type(element).__name__}: the element's domain is empty")
         _index(pattern)
     shape, cells, slots = pattern.cells
+    values = np.array(element.weights)[slots]
     matrix = np.zeros(shape, dtype=complex)
     # onto complex zeros in image order, as entry-by-entry += would: 0j + −0.0 is 0.0
-    np.add.at(matrix, cells, np.array(element.weights)[slots])
+    np.add.at(matrix, cells, values)
     matrix.flags.writeable = False
     # max |M†M − I| is the isometry defect, with I taken off the Gram's diagonal in
-    # place; the matrix goes last, as it marks the view built
-    gram = matrix.conj().T @ matrix
+    # place; the matrix goes last, as it marks the view built.  The complex route:
+    # any imaginary weight keeps M†M.  The real route: M†M = MᵀM, a quarter of the
+    # multiplies, on a copy of the real part, as BLAS wants a unit stride.
+    if values.imag.any():
+        gram = matrix.conj().T @ matrix
+    else:
+        real = matrix.real.copy()
+        gram = real.T @ real
     gram.flat[:: shape[1] + 1] -= 1
     lowering.defect = float(np.max(np.abs(gram)))
     lowering.matrix = matrix

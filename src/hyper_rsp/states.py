@@ -91,7 +91,10 @@ def _integer(name: str, value) -> int:
 
 def _number(name: str, value, kind: type = numbers.Real):
     """``value`` if it is a ``kind``, a ``numbers`` ABC, and no bool, which would
-    pass as 0 or 1; anything else, a string too, raises ``ValueError``."""
+    pass as 0 or 1; anything else, a string too, raises ``ValueError``.  An exact
+    ``float``, a real and a complex number both, passes before the ABC check."""
+    if type(value) is float:
+        return value
     if type(value) is bool or not isinstance(value, kind):
         raise ValueError(f"{name} must be a {kind.__name__.lower()} number, got {value!r}")
     return value

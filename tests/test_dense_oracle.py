@@ -272,12 +272,25 @@ def assert_factor_is_exact(element, schema):
     assert abs(unitarity_defect(element, schema) - reference_defect) <= 1e-14, element
 
 
+@dataclass(frozen=True)
+class PhaseOnH(Element):
+    """A phase plate, |H⟩ → i|H⟩ and |V⟩ → |V⟩: an isometry with an imaginary
+    weight, so its lowering takes the complex Gram; the real part's Gram would
+    read 1."""
+
+    weights = (1.0 + 0j, 1j)
+
+    def ket_slots(self, ket, layout):
+        return [(ket, 1 if ket[layout.positions["pol"]] == "H" else 0)]
+
+
 @given(params=target_params())
 @settings(max_examples=5)
 def test_one_photon_factor_equals_full_space_lowering(params):
     for kind in (PF, TB):
         for element, schema in walk_circuit(kind, params):
             assert_factor_is_exact(element, schema)
+            assert_factor_is_exact(PhaseOnH(element.photon), schema)
 
 
 def test_pockels_cell_is_a_half_wave_plate_switched_on_in_one_bin():
@@ -314,6 +327,19 @@ class PolarizeToH(Element):
     def ket_slots(self, ket, layout):
         i_pol = layout.positions["pol"]
         return [(ket[:i_pol] + ("H",) + ket[i_pol + 1 :], 0)]
+
+
+@dataclass(frozen=True)
+class DimPhaseToH(Element):
+    """Seeded defect with an imaginary weight: |H⟩ → |H⟩, |V⟩ → 0.6i|H⟩.  Its
+    defect is 1 − 0.6²; the real part's Gram would read 1 and MᵀM 1 + 0.6²."""
+
+    weights = (1.0 + 0j, 0.6j)
+
+    def ket_slots(self, ket, layout):
+        i_pol = layout.positions["pol"]
+        slot = 0 if ket[i_pol] == "H" else 1
+        return [(ket[:i_pol] + ("H",) + ket[i_pol + 1 :], slot)]
 
 
 @dataclass(frozen=True)
@@ -354,9 +380,10 @@ def test_both_routes_reject_exactly_where_the_ket_map_is_undefined(kind, photon)
 @pytest.mark.parametrize("photon", ["A", "B"])
 @pytest.mark.parametrize("kind", [PF, TB])
 def test_factor_defect_of_a_non_isometry_is_the_full_space_defect(kind, photon):
-    element, schema = PolarizeToH(photon), hyper_bell_schema(kind)
-    assert_factor_is_exact(element, schema)
-    assert unitarity_defect(element, schema) == 1.0
+    schema = hyper_bell_schema(kind)
+    for element, defect in ((PolarizeToH(photon), 1.0), (DimPhaseToH(photon), 1 - 0.6**2)):
+        assert_factor_is_exact(element, schema)
+        assert unitarity_defect(element, schema) == defect
 
 
 @pytest.mark.parametrize("kind", [PF, TB])
@@ -528,6 +555,9 @@ def test_an_out_of_domain_label_is_never_kept(relabels):
 
 #: SHA-256 of every stage's dense matrix, domain kets, positions and out-of-domain mask
 DENSE_EXACT_DIGEST = Path(__file__).parent / "golden" / "dense_exact.sha256"
+#: A target whose β are all −0.0: a fill writing −0.0 where accumulation onto 0j
+#: writes 0.0 shows here
+NEGATIVE_ZERO_TARGET = TargetParams(1.0, -0.0, 1.0, -0.0, 1.0, -0.0)
 
 
 def test_every_dense_lowering_is_bit_exact():
@@ -539,7 +569,7 @@ def test_every_dense_lowering_is_bit_exact():
     kernel, so they are left out."""
     digest = hashlib.sha256()
     for kind in (PF, TB):
-        for params in MEMO_TARGETS + (TargetParams(1.0, -0.0, 1.0, -0.0, 1.0, -0.0),):
+        for params in MEMO_TARGETS + (NEGATIVE_ZERO_TARGET,):
             for element, schema in walk_circuit(kind, params):
                 dense = element_to_dense(element, schema)
                 pattern = dense.pattern
@@ -552,13 +582,17 @@ def test_every_dense_lowering_is_bit_exact():
     assert digest.hexdigest() == DENSE_EXACT_DIGEST.read_text().strip()
 
 
+@pytest.mark.parametrize(
+    "params", MEMO_TARGETS + (NEGATIVE_ZERO_TARGET,), ids=["generic", "beta0", "axes", "minus0"]
+)
 @pytest.mark.parametrize("kind", [PF, TB])
-def test_kept_defect_positions_and_outside_rows(kind):
-    """Every element's kept isometry defect is the Gram computation on its kept
-    matrix, and its pattern's domain positions and out-of-domain rows are
-    read-only and split the layout's rows between them."""
+def test_kept_defect_positions_and_outside_rows(kind, params):
+    """Every element's kept isometry defect is the complex Gram computation on
+    its kept matrix, whichever route computed it, and its pattern's domain
+    positions and out-of-domain rows are read-only and split the layout's rows
+    between them."""
     whole = []
-    for element, schema in walk_circuit(kind, TargetParams.from_angles(0.3, 1.1, 2.0)):
+    for element, schema in walk_circuit(kind, params):
         dense = element_to_dense(element, schema)
         gram = dense.matrix.conj().T @ dense.matrix
         assert dense.defect == float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
